@@ -9,7 +9,7 @@ local terminal angles of an acyclic instance.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import face_analysis as fa
 from . import plane_graph as pg
@@ -95,11 +95,17 @@ def is_supported(
 
 
 def supported_completions(
-    D: pg.PlaneDigraph, face: int, budget: int
+    D: pg.PlaneDigraph, face: int, budget: int, minimal_only: bool = False
 ) -> Iterator[pg.Completion]:
     """Every supported completion of the face with at most ``budget`` arcs,
     the empty one first.  Emitted completions embed crossing-free and keep
-    the graph oriented."""
+    the graph oriented.
+
+    With ``minimal_only``, only completions a minimum solution could
+    restrict to: no arc whose head its tail already reaches (reroute via
+    the existing dipath), no two arcs between one strong-component pair.
+    Both rules reject every superset of a rejected set, so they prune the
+    recursion exactly and the survivors keep their order."""
     yield pg.EMPTY_COMPLETION
     if budget <= 0:
         return
@@ -122,6 +128,15 @@ def supported_completions(
             if u == v or D.underlying_adjacent(u, v):
                 continue
             cands.append((i, j, u, v))
+    # a completion holds at most one arc per unordered vertex pair (no
+    # parallel or digon); with minimal_only, per strong-component pair
+    label: Sequence[int] = range(D.n)
+    if minimal_only:
+        label = scc(D).component
+        reach = _reachability(D)
+        cands = [c for c in cands if not (reach[c[2]] >> c[3]) & 1]
+    pair_of = [frozenset((label[u], label[v])) for (_, _, u, v) in cands]
+    used_pairs: set[frozenset[int]] = set()
     iv_of: dict[int, fa.Interval] = {}
     for iv in ivs:
         for p in iv.positions:
@@ -142,18 +157,14 @@ def supported_completions(
 
     def rec(start: int) -> Iterator[pg.Completion]:
         for idx in range(start, len(cands)):
-            i, j, u, v = cands[idx]
-            ok = True
-            for (i2, j2, u2, v2) in chosen:
-                if pg.chords_cross(r, i, j, i2, j2):
-                    ok = False
-                    break
-                if (u == u2 and v == v2) or (u == v2 and v == u2):
-                    ok = False  # parallel or digon within the completion
-                    break
-            if not ok:
+            i, j, _, _ = cands[idx]
+            pair = pair_of[idx]
+            if pair in used_pairs or any(
+                pg.chords_cross(r, i, j, i2, j2) for (i2, j2, _, _) in chosen
+            ):
                 continue
             chosen.append(cands[idx])
+            used_pairs.add(pair)
             if check_supported():
                 yield D.completion_from_darts(
                     [(walk[a], walk[b]) for (a, b, _, _) in chosen]
@@ -161,6 +172,7 @@ def supported_completions(
             if len(chosen) < budget:
                 yield from rec(idx + 1)
             chosen.pop()
+            used_pairs.discard(pair)
 
     yield from rec(0)
 
@@ -213,30 +225,9 @@ def simple_face_candidates(
     cached = D._analysis_cache.get(key)
     if cached is not None:
         return cached
-    # restrict to arc sets a minimal solution could actually use: no arc
-    # whose head its tail already reaches (reroute via the existing
-    # dipath), and at most one arc per strong-component pair
-    comp = scc(D).component
-    reach = _reachability(D)
-    all_supported = []
-    for c in supported_completions(D, face, 3):
-        if not c.arcs:
-            continue
-        pairs = set()
-        ok = True
-        for a in c.arcs:
-            u, v = a.ends
-            if (reach[u] >> v) & 1:
-                ok = False
-                break
-            cu, cv = comp[u], comp[v]
-            pk = (cu, cv) if cu <= cv else (cv, cu)
-            if pk in pairs:
-                ok = False
-                break
-            pairs.add(pk)
-        if ok:
-            all_supported.append(c)
+    all_supported = [
+        c for c in supported_completions(D, face, 3, minimal_only=True) if c.arcs
+    ]
     keys = [c.key() for c in all_supported]
     out = []
     for i, c in enumerate(all_supported):
@@ -252,31 +243,6 @@ def simple_face_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _minimality_filter(D: pg.PlaneDigraph, comps):
-    """Keep only completions a minimum solution could restrict to: no arc
-    whose head its tail already reaches, no two arcs between one strong
-    component pair."""
-    comp = scc(D).component
-    reach = _reachability(D)
-    out = []
-    for c in comps:
-        ok = True
-        pairs = set()
-        for a in c.arcs:
-            u, v = a.ends
-            if (reach[u] >> v) & 1:
-                ok = False
-                break
-            pk = (comp[u], comp[v]) if comp[u] <= comp[v] else (comp[v], comp[u])
-            if pk in pairs:
-                ok = False
-                break
-            pairs.add(pk)
-        if ok:
-            out.append(c)
-    return out
-
-
 def alternating_branches(
     D: pg.PlaneDigraph, k: int, minimal_only: bool = False
 ) -> Iterator[tuple[pg.Completion, ...]]:
@@ -286,14 +252,10 @@ def alternating_branches(
     completions a minimum solution could restrict to, which loses no
     optimum."""
     faces = fa.alternating_faces(D)
-    per_face = [list(supported_completions(D, f, k)) for f in faces]
-    if minimal_only:
-        per_face = [
-            [pg.EMPTY_COMPLETION] + _minimality_filter(
-                D, [c for c in lst if c.arcs]
-            )
-            for lst in per_face
-        ]
+    per_face = [
+        list(supported_completions(D, f, k, minimal_only=minimal_only))
+        for f in faces
+    ]
     comp_of = scc(D).component
     chosen: list[pg.Completion] = []
 
@@ -338,27 +300,21 @@ def alternating_branches(
 
 
 def _reachability(D: pg.PlaneDigraph) -> list[int]:
+    """Bitmask of the vertices each vertex reaches, itself included, in one
+    pass over the condensation: component ids are numbered sinks first, so
+    every successor of a component is final before the component is."""
     cached = D._analysis_cache.get("reach")
     if cached is not None:
         return cached
-    reach = [1 << v for v in range(D.n)]
-    adj = [0] * D.n
-    for u, v in D.arcs:
-        if u != v:
-            adj[u] |= 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for v in range(D.n):
-            acc = reach[v]
-            w = adj[v]
-            while w:
-                b = w & (-w)
-                acc |= reach[b.bit_length() - 1]
-                w ^= b
-            if acc != reach[v]:
-                reach[v] = acc
-                changed = True
+    part = scc(D)
+    creach = [sum(1 << v for v in ms) for ms in part.members]
+    succ: list[list[int]] = [[] for _ in creach]
+    for cu, cv in part.comp_arcs:
+        succ[cu].append(cv)
+    for c, targets in enumerate(succ):
+        for t in targets:
+            creach[c] |= creach[t]
+    reach = [creach[c] for c in part.component]
     D._analysis_cache["reach"] = reach
     return reach
 

@@ -54,12 +54,18 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
         if parts[0] == "a":
             if len(parts) != 4:
                 raise ParseError(f"line {ln}: expected 'a <id> <tail> <head>'")
-            a, u, v = (int(x) for x in parts[1:])
+            try:
+                a, u, v = (int(x) for x in parts[1:])
+            except ValueError as exc:
+                raise ParseError(f"line {ln}: non-integer id: {exc}") from exc
             if not 0 <= a < m or arcs[a] is not None:
                 raise ParseError(f"line {ln}: bad or repeated arc id {a}")
             arcs[a] = (u, v)
         elif parts[0] == "r":
-            v = int(parts[1])
+            try:
+                v = int(parts[1])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"line {ln}: expected 'r <v> <ends>'") from exc
             if not 0 <= v < n or rotation[v] is not None:
                 raise ParseError(f"line {ln}: bad or repeated vertex {v}")
             ring = []

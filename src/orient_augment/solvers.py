@@ -12,6 +12,7 @@ allowed).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -66,6 +67,7 @@ class SolveReport:
                 "branches": self.stats.branches,
                 "dijoin_calls": self.stats.dijoin_calls,
                 "trials": self.stats.trials,
+                **self.stats.extra,
             },
             "seed": self.stats.seed,
         }
@@ -394,8 +396,6 @@ def _simple_exhaustive(
     """Minimum completion within the candidate faces making the branch
     strong, by enumerating every face subset of size at most ``budget``
     and every candidate assignment on it."""
-    import itertools
-
     faces = sorted(f for f in cands if cands[f])
     masks = view.terminal_masks()
     best: Optional[pg.Completion] = None
@@ -435,21 +435,33 @@ def _simple_montecarlo(
     rng: random.Random,
     stats: SolveStats,
 ) -> Optional[pg.Completion]:
+    """Best completion over ``trials`` random candidate assignments, one
+    candidate per face; a branch with no more assignments than ``trials``
+    walks each once instead.  Stops once nothing smaller than the best can
+    exist: the Eswaran-Tarjan floor max(#source, #sink) bounds every
+    completion of the branch from below."""
     faces = sorted(f for f in cands if cands[f])
     if not faces:
         return None
+    sources, sinks = view.terminal_masks()
+    floor = max(len(sources), len(sinks))
+    if math.prod(len(cands[f]) for f in faces) <= trials:
+        assignments = itertools.product(*(cands[f] for f in faces))
+    else:
+        assignments = (
+            [rng.choice(cands[f]) for f in faces] for _ in range(trials)
+        )
     best: Optional[pg.Completion] = None
-    for _ in range(trials):
+    for assignment in assignments:
+        cap = budget if best is None else min(budget, len(best.arcs) - 1)
+        if cap < floor:
+            break
         stats.trials += 1
         allowed = {}
-        for f in faces:
-            comp = rng.choice(cands[f])
+        for f, comp in zip(faces, assignment):
             translated = _allowed_on_branch(view, f, comp, pg.MODE_ORIENTED)
             if translated is not None:
                 allowed[f] = translated
-        cap = budget if best is None else min(budget, len(best.arcs) - 1)
-        if cap <= 0:
-            break
         if not allowed:
             continue
         inst = dj.build_auxiliary_with_extra(
@@ -512,7 +524,7 @@ def solve_oriented(
         f: ce.simple_face_candidates(D, f) for f in fa.simple_faces(D)
     }
     rng = random.Random(seed)
-    if trials is None:
+    if method == "montecarlo" and trials is None:
         trials = default_trials(k)
 
     best: Optional[pg.Completion] = None

@@ -40,7 +40,8 @@ class SccPartition:
 
 
 def scc_of_arcs(n: int, arcs) -> list[int]:
-    """Iterative Tarjan; returns component id per vertex."""
+    """Iterative Tarjan; returns component id per vertex.  Ids are numbered
+    sinks first: every arc between components goes to a lower id."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:
         if u != v:

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from orient_augment import completion_enum as ce
+from orient_augment import enumerate_plane as ep
 from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
+from orient_augment import strongconn as sc
 from orient_augment.errors import NotSimpleFace
 
 
@@ -153,3 +155,103 @@ def test_branch_ceiling_constant():
         for k in (1, 2, 3):
             n_branches = sum(1 for _ in ce.alternating_branches(D, k, minimal_only=True))
             assert n_branches <= 2 ** (PINNED_C * k)
+
+
+# ---------------------------------------------------------------------------
+# minimality filter during generation vs. the post-hoc reference
+# ---------------------------------------------------------------------------
+
+
+def arcs_of(c):
+    return tuple((a.face, a.tail.dart, a.head.dart) for a in c.arcs)
+
+
+def closure_reference(D):
+    """Naive fixed-point transitive closure, one bitmask per vertex."""
+    reach = [1 << v for v in range(D.n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in D.arcs:
+            if reach[u] | reach[v] != reach[u]:
+                reach[u] |= reach[v]
+                changed = True
+    return reach
+
+
+def posthoc_minimal(D, comps):
+    """Drop, after enumeration, every completion with an arc whose head its
+    tail already reaches or with two arcs between one component pair."""
+    comp = sc.scc(D).component
+    reach = closure_reference(D)
+    out = []
+    for c in comps:
+        pairs = [frozenset((comp[u], comp[v])) for (u, v) in (a.ends for a in c.arcs)]
+        if len(set(pairs)) == len(pairs) and not any(
+            (reach[a.ends[0]] >> a.ends[1]) & 1 for a in c.arcs
+        ):
+            out.append(c)
+    return out
+
+
+def simple_candidates_reference(D, f):
+    kept = posthoc_minimal(
+        D, [c for c in ce.supported_completions(D, f, 3) if c.arcs]
+    )
+    keys = [c.key() for c in kept]
+    return [c for c, key in zip(kept, keys) if not any(key < o for o in keys)]
+
+
+def alternating_branches_reference(D, k):
+    per_face = [
+        [pg.EMPTY_COMPLETION]
+        + posthoc_minimal(D, [c for c in ce.supported_completions(D, f, k) if c.arcs])
+        for f in fa.alternating_faces(D)
+    ]
+    comp = sc.scc(D).component
+    out = []
+    for choice in itertools.product(*per_face):
+        arcs = [a.ends for c in choice for a in c.arcs]
+        pairs = [frozenset((comp[u], comp[v])) for (u, v) in arcs]
+        if len(arcs) <= k and len(set(pairs)) == len(pairs):
+            out.append(choice)
+    return out
+
+
+def sample_graphs():
+    corpus = ep.oriented_corpus(5)
+    yield from corpus[::7]
+    for seed in range(40):
+        n = 6 + seed % 4
+        yield pog_io.gen_random(n, n - 1 + seed % (n - 1), seed)
+
+
+def test_minimal_only_matches_posthoc_filter():
+    checked = 0
+    for D in sample_graphs():
+        for f in fa.simple_faces(D):
+            got = [arcs_of(c) for c in ce.simple_face_candidates(D, f)]
+            want = [arcs_of(c) for c in simple_candidates_reference(D, f)]
+            assert got == want
+            checked += 1
+        for k in (1, 2):
+            got = [
+                tuple(map(arcs_of, b))
+                for b in ce.alternating_branches(D, k, minimal_only=True)
+            ]
+            want = [
+                tuple(map(arcs_of, b)) for b in alternating_branches_reference(D, k)
+            ]
+            assert got == want
+    assert checked > 50
+
+
+def test_reachability_matches_naive_closure():
+    graphs = list(ep.oriented_corpus(5))
+    for n in range(3, 17):
+        for seed in range(4):
+            graphs.append(pog_io.gen_random(n, n - 1 + seed * (2 * n - 5) // 3, seed))
+    for D in graphs:
+        assert ce._reachability(D) == closure_reference(D)
+        # the one-pass closure relies on Tarjan's sinks-first numbering
+        assert all(cu > cv for cu, cv in sc.scc(D).comp_arcs)

@@ -22,6 +22,22 @@ def test_parse_error_is_line_numbered():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad_line, line_no",
+    [("a 1 0 x", 3), ("a z 0 2", 3), ("r q 0+", 4)],
+)
+def test_non_integer_id_is_typed_parse_error(tmp_path, capsys, bad_line, line_no):
+    lines = ["pog oriented 3 2", "a 0 0 1", "a 1 1 2", "r 0 0+", "r 1 0- 1+", "r 2 1-"]
+    lines[line_no - 1] = bad_line
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match=f"line {line_no}"):
+        pog_io.parse_pog(text)
+    f = tmp_path / "bad.pog"
+    f.write_text(text)
+    assert cli.main(["solve", str(f), "-k", "1"]) == 2
+    assert f"line {line_no}" in capsys.readouterr().err
+
+
 def test_parse_forwards_mode_violation():
     from orient_augment.errors import ModeViolation
 
@@ -123,3 +139,13 @@ def test_cli_json_report(tmp_path, path3, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "yes"
     assert data["witness"][0]["tail"].keys() == {"vertex", "position"}
+
+
+def test_cli_json_report_montecarlo_no(tmp_path, alternating_square, capsys):
+    f = tmp_path / "a.pog"
+    f.write_text(pog_io.write_pog(alternating_square))
+    assert cli.main(["solve", str(f), "-k", "2", "--mode", "montecarlo",
+                     "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "no"
+    assert 0.0 < data["statistics"]["no_confidence"] <= 1.0

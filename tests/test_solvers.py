@@ -99,6 +99,36 @@ def test_montecarlo_deterministic_per_seed():
         assert a.witness.key() == b.witness.key()
 
 
+def fresh(D):
+    """A re-parsed copy, so no memo of an earlier solve answers."""
+    return pog_io.parse_pog(pog_io.write_pog(D))
+
+
+def test_montecarlo_default_trials_stops_at_terminal_floor():
+    # optimum 2 meets the Eswaran-Tarjan floor of its only branch, so no
+    # further trial can improve on the first success
+    D = ep.oriented_corpus(5)[177]
+    rep = sv.solve_oriented(D, 3, method="montecarlo", seed=1)
+    assert rep.verdict and rep.optimum == 2
+    assert rep.stats.trials <= 5
+    assert sv.solve_oriented(fresh(D), 3).optimum == 2
+
+
+def test_montecarlo_agrees_with_exhaustive_under_default_trials():
+    for D in ep.oriented_corpus(5)[::27]:
+        mc = sv.solve_oriented(fresh(D), 3, method="montecarlo", seed=0)
+        ex = sv.solve_oriented(fresh(D), 3)
+        assert (mc.verdict, mc.optimum) == (ex.verdict, ex.optimum)
+
+
+def test_exhaustive_accepts_huge_budget(alternating_square):
+    # the Monte-Carlo trial count is never computed in exhaustive mode
+    for D in (ep.oriented_corpus(5)[177], alternating_square):
+        big = sv.solve_oriented(fresh(D), 100000)
+        small = sv.solve_oriented(fresh(D), 3)
+        assert (big.verdict, big.optimum) == (small.verdict, small.optimum)
+
+
 def test_solution_restricted_to_simple_faces_is_small():
     import collections
 
