@@ -9,13 +9,13 @@ local terminal angles of an acyclic instance.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import face_analysis as fa
 from . import plane_graph as pg
 from . import supports as sp
 from .errors import NotSimpleFace
-from .strongconn import scc, scc_of_arcs
+from .strongconn import scc
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +182,6 @@ def supported_completions(
 # ---------------------------------------------------------------------------
 
 
-def _local_partition(D: pg.PlaneDigraph, face: int, extra: tuple = ()) -> tuple:
-    """Canonical strong-component partition of the subgraph induced by the
-    face's vertex set, optionally with extra arcs added."""
-    verts = sorted(set(D.face_vertices(face)))
-    idx = {v: i for i, v in enumerate(verts)}
-    arcs = [
-        (idx[u], idx[v]) for (u, v) in D.arcs if u in idx and v in idx
-    ]
-    arcs += [(idx[u], idx[v]) for (u, v) in extra]
-    comp = scc_of_arcs(len(verts), arcs)
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(comp):
-        groups.setdefault(c, []).append(verts[i])
-    return tuple(sorted(tuple(g) for g in groups.values()))
-
-
-def _refines(finer: tuple, coarser: tuple) -> bool:
-    block_of = {v: i for i, blk in enumerate(coarser) for v in blk}
-    return all(len({block_of[v] for v in blk}) == 1 for blk in finer)
-
-
 def simple_face_candidates(
     D: pg.PlaneDigraph, face: int
 ) -> list[pg.Completion]:
@@ -257,9 +236,8 @@ def alternating_branches(
         for f in faces
     ]
     comp_of = scc(D).component
-    chosen: list[pg.Completion] = []
 
-    def legal(cand: pg.Completion) -> bool:
+    def legal(chosen: list[pg.Completion], cand: pg.Completion) -> bool:
         pairs = set()
         comp_pairs = set()
         for c in chosen:
@@ -278,14 +256,26 @@ def alternating_branches(
                     return False
         return True
 
+    yield from _joint_branches(per_face, k, legal)
+
+
+def _joint_branches(
+    per_face: list[list[pg.Completion]],
+    k: int,
+    legal: Callable[[list[pg.Completion], pg.Completion], bool],
+) -> Iterator[tuple[pg.Completion, ...]]:
+    """One completion per face in face order, at most ``k`` arcs in total,
+    each non-empty pick ``legal`` next to the picks before it."""
+    chosen: list[pg.Completion] = []
+
     def rec(i: int, budget: int) -> Iterator[tuple[pg.Completion, ...]]:
-        if i == len(faces):
+        if i == len(per_face):
             yield tuple(chosen)
             return
         for comp in per_face[i]:
             if len(comp) > budget:
                 continue
-            if comp.arcs and not legal(comp):
+            if comp.arcs and not legal(chosen, comp):
                 continue
             chosen.append(comp)
             yield from rec(i + 1, budget - len(comp))
@@ -388,26 +378,9 @@ def directed_joint_branches(
     """Joint choice of a digon-allowed completion per face, total size at
     most ``k``, pairwise parallel-free."""
     per_face = [directed_supported_completions(D, f, k) for f in faces]
-    chosen: list[pg.Completion] = []
 
-    def legal(cand: pg.Completion) -> bool:
-        pairs = set()
-        for c in chosen:
-            for a in c.arcs:
-                pairs.add(a.ends)
+    def legal(chosen: list[pg.Completion], cand: pg.Completion) -> bool:
+        pairs = {a.ends for c in chosen for a in c.arcs}
         return all(a.ends not in pairs for a in cand.arcs)
 
-    def rec(i: int, budget: int) -> Iterator[tuple[pg.Completion, ...]]:
-        if i == len(faces):
-            yield tuple(chosen)
-            return
-        for comp in per_face[i]:
-            if len(comp) > budget:
-                continue
-            if comp.arcs and not legal(comp):
-                continue
-            chosen.append(comp)
-            yield from rec(i + 1, budget - len(comp))
-            chosen.pop()
-
-    yield from rec(0, k)
+    yield from _joint_branches(per_face, k, legal)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import face_analysis as fa
 from . import plane_graph as pg
 from .errors import NonGadgetArcInY, NotACandidate, UnknownArc
-from .strongconn import scc_of_arcs
+from .strongconn import terminal_sides
 
 
 @dataclass
@@ -42,13 +42,6 @@ class Digraph:
         return len(self.arcs) - 1
 
 
-def _strong(n: int, arcs: Sequence[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    comp = scc_of_arcs(n, arcs)
-    return max(comp) == 0
-
-
 def is_dijoin(g: Digraph, Y: Sequence[int]) -> bool:
     """True iff adding the reversal of every arc of ``Y`` makes ``g``
     strongly connected."""
@@ -56,27 +49,7 @@ def is_dijoin(g: Digraph, Y: Sequence[int]) -> bool:
         if not (0 <= a < len(g.arcs)):
             raise UnknownArc(f"arc id {a} out of range")
     arcs = list(g.arcs) + [(v, u) for (u, v) in (g.arcs[a] for a in Y)]
-    return _strong(g.n, arcs)
-
-
-def _terminal_sides(n: int, arcs: Sequence[tuple[int, int]]):
-    """Vertex bitmasks of source components and sink components."""
-    comp = scc_of_arcs(n, arcs)
-    ncomp = max(comp) + 1 if n else 0
-    if ncomp <= 1:
-        return [], []
-    has_in = [False] * ncomp
-    has_out = [False] * ncomp
-    for u, v in arcs:
-        if comp[u] != comp[v]:
-            has_out[comp[u]] = True
-            has_in[comp[v]] = True
-    masks = [0] * ncomp
-    for v in range(n):
-        masks[comp[v]] |= 1 << v
-    sources = [masks[c] for c in range(ncomp) if not has_in[c]]
-    sinks = [masks[c] for c in range(ncomp) if not has_out[c]]
-    return sources, sinks
+    return terminal_sides(g.n, arcs) == ([], [])
 
 
 def min_dijoin_upto(
@@ -95,45 +68,36 @@ def min_dijoin_upto(
     )
     base = list(g.arcs)
 
-    def search(budget: int, chosen: list[int], start_ids: dict) -> Optional[list[int]]:
+    def search(budget: int, chosen: list[int]) -> Optional[list[int]]:
         arcs = base + [(v, u) for (u, v) in (g.arcs[a] for a in chosen)]
-        sources, sinks = _terminal_sides(g.n, arcs)
+        sources, sinks = terminal_sides(g.n, arcs)
         if not sources and not sinks:
             return list(chosen)
         if max(len(sources), len(sinks)) > budget:
             return None
-        # branch on the terminal side crossed by the fewest allowed arcs
-        best_side = None
+        # branch on the terminal side crossed by the fewest allowed arcs: a
+        # source needs an arc leaving it reversed, a sink one entering it
+        free = [(a, g.arcs[a]) for a in sorted(allowed.difference(chosen))]
         best_cands: Optional[list[int]] = None
-        for side, into in [(s, False) for s in sources] + [
-            (s, True) for s in sinks
-        ]:
-            cands = []
-            for a in sorted(allowed - set(chosen)):
-                u, v = g.arcs[a]
-                if into:
-                    # sink side: need an arc out, i.e. reverse an arc entering
-                    if ((side >> v) & 1) and not ((side >> u) & 1):
-                        cands.append(a)
-                else:
-                    # source side: reverse an arc leaving it
-                    if ((side >> u) & 1) and not ((side >> v) & 1):
-                        cands.append(a)
+        for side, into in [(s, 0) for s in sources] + [(s, 1) for s in sinks]:
+            cands = [
+                a for a, ends in free
+                if (side >> ends[into]) & 1 and not (side >> ends[1 - into]) & 1
+            ]
             if best_cands is None or len(cands) < len(best_cands):
                 best_cands = cands
-                best_side = side
         if not best_cands:
             return None
         for a in best_cands:
             chosen.append(a)
-            res = search(budget - 1, chosen, start_ids)
+            res = search(budget - 1, chosen)
             if res is not None:
                 return res
             chosen.pop()
         return None
 
     for b in range(0, k + 1):
-        res = search(b, [], {})
+        res = search(b, [])
         if res is not None:
             return res
     return None

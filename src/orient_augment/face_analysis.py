@@ -182,10 +182,6 @@ def local_terminals(
     return dec.sources, dec.sinks
 
 
-def interval_dipaths(D: pg.PlaneDigraph, face: int) -> tuple[Interval, ...]:
-    return decompose_face(D, face).dipaths
-
-
 @dataclass(frozen=True)
 class CensusReport:
     terminal_angles: int

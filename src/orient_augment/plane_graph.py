@@ -70,16 +70,6 @@ class Angle:
 
 
 @dataclass(frozen=True)
-class Face:
-    face_id: int
-    boundary: tuple[Angle, ...]
-    outer: bool = False
-
-    def __len__(self) -> int:
-        return len(self.boundary)
-
-
-@dataclass(frozen=True)
 class CompletionArc:
     """A new arc embedded between two angles of one face."""
 
@@ -179,9 +169,6 @@ class PlaneDigraph:
     def face_of_dart(self, dart: int) -> int:
         return self._dart_face[dart]
 
-    def position_of_dart(self, dart: int) -> int:
-        return self._dart_pos[dart]
-
     def angle(self, dart: int) -> Angle:
         """The angle keyed by ``dart`` (following-arc end of the position)."""
         cached = self._angle_cache.get(dart)
@@ -204,22 +191,8 @@ class PlaneDigraph:
         self._angle_cache[dart] = ang
         return ang
 
-    def angle_at(self, face: int, position: int) -> Angle:
-        return self.angle(self.faces[face][position])
-
-    def face_object(self, face: int) -> Face:
-        walk = self.faces[face]
-        return Face(
-            face_id=face,
-            boundary=tuple(self.angle(d) for d in walk),
-            outer=(face == self.outer_face),
-        )
-
     def face_vertices(self, face: int) -> tuple[int, ...]:
         return tuple(self.dart_vertex(d) for d in self.faces[face])
-
-    def out_arcs(self, v: int) -> list[int]:
-        return [d >> 1 for d in self.rotation[v] if (d & 1) == 0]
 
     def adjacency(self) -> tuple[frozenset, frozenset]:
         """(set of ordered arc pairs, set of unordered adjacent pairs)."""

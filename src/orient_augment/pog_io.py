@@ -109,18 +109,32 @@ def completion_to_json(completion: pg.Completion) -> str:
     return json.dumps({"arcs": data}, indent=2, sort_keys=True) + "\n"
 
 
+def _witness_int(rec, key: str, where: str) -> int:
+    value = rec.get(key) if isinstance(rec, dict) else None
+    if type(value) is not int:
+        raise ParseError(f"witness {where}: needs an integer {key!r}")
+    return value
+
+
 def completion_from_json(D: pg.PlaneDigraph, text: str) -> pg.Completion:
+    """Inverse of ``completion_to_json``; arcs are read by face and
+    boundary position, the vertices are ignored.  Any other shape raises
+    ``ParseError``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad witness JSON: {exc}") from exc
+    arcs = data.get("arcs") if isinstance(data, dict) else None
+    if not isinstance(arcs, list):
+        raise ParseError("witness JSON must be an object with an 'arcs' list")
     pairs = []
-    for rec in data.get("arcs", []):
-        face = rec["face"]
+    for i, rec in enumerate(arcs):
+        face = _witness_int(rec, "face", f"arc {i}")
         if not 0 <= face < D.f:
             raise ParseError(f"witness references missing face {face}")
         walk = D.faces[face]
-        pt, ph = rec["tail"]["position"], rec["head"]["position"]
+        pt = _witness_int(rec.get("tail"), "position", f"arc {i} tail")
+        ph = _witness_int(rec.get("head"), "position", f"arc {i} head")
         if not (0 <= pt < len(walk) and 0 <= ph < len(walk)):
             raise ParseError(f"witness position out of range in face {face}")
         pairs.append((walk[pt], walk[ph]))

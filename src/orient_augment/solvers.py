@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import completion_enum as ce
 from . import dijoin as dj
@@ -34,7 +34,9 @@ class SolveStats:
     dijoin_calls: int = 0
     trials: int = 0
     seed: Optional[int] = None
-    extra: dict = field(default_factory=dict)
+    # set on a Monte-Carlo no: 1.0 when no branch was sampled, else the
+    # per-branch confidence of the sampling
+    no_confidence: Optional[float] = None
 
 
 @dataclass
@@ -67,7 +69,7 @@ class SolveReport:
                 "branches": self.stats.branches,
                 "dijoin_calls": self.stats.dijoin_calls,
                 "trials": self.stats.trials,
-                **self.stats.extra,
+                "no_confidence": self.stats.no_confidence,
             },
             "seed": self.stats.seed,
         }
@@ -289,7 +291,7 @@ def brute_solve(
 
 
 # ---------------------------------------------------------------------------
-# oriented-mode branching solver
+# the branch loop shared by both branching solvers
 # ---------------------------------------------------------------------------
 
 # Largest simple-face candidate list observed over the exhaustive corpus;
@@ -303,177 +305,211 @@ def default_trials(k: int) -> int:
     return max(1, math.ceil(PINNED_SIMPLE_CANDIDATE_BOUND ** k * math.log(1 / MC_DELTA)))
 
 
-class _BranchView:
-    """Adjacency-level view of the host graph plus chosen branch arcs; no
-    re-embedding is needed to reason about the branch."""
-
-    def __init__(self, D: pg.PlaneDigraph, pairs: list[tuple[int, int]]):
-        self.D = D
-        self.pairs = pairs
-        ordered, unordered = D.adjacency()
-        self.ordered = set(ordered) | set(pairs)
-        self.unordered = set(unordered) | {
-            (u, v) if u <= v else (v, u) for (u, v) in pairs
-        }
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.ordered
-
-    def underlying_adjacent(self, u: int, v: int) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.unordered
-
-    def is_strong(self) -> bool:
-        arcs = list(self.D.arcs) + self.pairs
-        comp = sc.scc_of_arcs(self.D.n, arcs)
-        return max(comp) == 0 if comp else True
-
-    def terminal_masks(self):
-        arcs = list(self.D.arcs) + self.pairs
-        comp = sc.scc_of_arcs(self.D.n, arcs)
-        ncomp = max(comp) + 1
-        has_in = [False] * ncomp
-        has_out = [False] * ncomp
-        masks = [0] * ncomp
-        for v, c in enumerate(comp):
-            masks[c] |= 1 << v
-        for u, v in arcs:
-            if comp[u] != comp[v]:
-                has_out[comp[u]] = True
-                has_in[comp[v]] = True
-        sources = [masks[c] for c in range(ncomp) if not has_in[c]]
-        sinks = [masks[c] for c in range(ncomp) if not has_out[c]]
-        return sources, sinks
+def _report(mode: str, k: int, stats: SolveStats,
+            witness: Optional[pg.Completion]) -> SolveReport:
+    return SolveReport(
+        verdict=witness is not None,
+        optimum=None if witness is None else len(witness.arcs),
+        witness=witness, mode=mode, k=k, stats=stats,
+    )
 
 
-def _covers_terminals(masks, allowed: dict[int, pg.Completion]) -> bool:
+@dataclass
+class _Memo:
+    """Outcomes of exact solves of one graph.  They are budget-monotone
+    facts about the instance: the optimum with its witness once found,
+    else the largest budget answered no."""
+
+    opt: Optional[int] = None
+    witness: Optional[pg.Completion] = None
+    no_at: int = 0
+
+    def lookup(self, k: int) -> tuple[bool, Optional[pg.Completion]]:
+        """Whether an earlier solve settles budget ``k``, and the witness
+        when it settles it as yes."""
+        if self.opt is not None:
+            return True, self.witness if self.opt <= k else None
+        return k <= self.no_at, None
+
+    def record(self, k: int, witness: Optional[pg.Completion]) -> None:
+        if witness is None:
+            self.no_at = max(self.no_at, k)
+        else:
+            self.opt, self.witness = len(witness.arcs), witness
+
+
+def _memo(D: pg.PlaneDigraph, mode: str) -> _Memo:
+    return D._analysis_cache.setdefault(("memo", mode), _Memo())
+
+
+def _hopeless(D: pg.PlaneDigraph, k: int) -> bool:
+    """Quick filters: a graph that budget ``k`` can make strong has at
+    most ``2k`` terminal components, and its alternating faces carry fewer
+    than ``8k`` local terminals in total."""
+    return (sc.scc(D).terminal_count > 2 * k
+            or fa.alternating_terminal_sum(D) >= 8 * k)
+
+
+class _Branch(NamedTuple):
+    """The host graph plus one branch's arcs, at adjacency level."""
+
+    ends: list[tuple[int, int]]      # vertex pairs of the branch arcs
+    blocked: set[tuple[int, int]]    # pairs a simple-face arc may not join
+    sources: list[int]               # vertex bitmasks of source components
+    sinks: list[int]                 # ... and of sink components
+    floor: int                       # Eswaran-Tarjan: max(#source, #sink)
+
+
+def _covers_terminals(branch: _Branch, allowed: dict[int, pg.Completion]) -> bool:
     """Necessary condition for the allowed arcs to complete the branch:
     every source component must receive a head, every sink must emit a
     tail."""
     arcs = [a.ends for comp in allowed.values() for a in comp.arcs]
-    sources, sinks = masks
-    for m in sources:
-        if not any(((m >> v) & 1) and not ((m >> u) & 1) for u, v in arcs):
-            return False
-    for m in sinks:
-        if not any(((m >> u) & 1) and not ((m >> v) & 1) for u, v in arcs):
-            return False
-    return True
+    enters = lambda m: any((m >> v) & 1 and not (m >> u) & 1 for u, v in arcs)
+    leaves = lambda m: any((m >> u) & 1 and not (m >> v) & 1 for u, v in arcs)
+    return all(map(enters, branch.sources)) and all(map(leaves, branch.sinks))
 
 
-def _allowed_on_branch(
-    view: _BranchView,
-    face: int,
-    comp: pg.Completion,
-    arc_mode: str,
+def _complete_assignment(
+    D: pg.PlaneDigraph,
+    branch: _Branch,
+    faces: Sequence[int],
+    assignment: Sequence[pg.Completion],
+    cap: int,
+    stats: SolveStats,
 ) -> Optional[pg.Completion]:
-    """Drop candidate arcs the branch made illegal; the rest stay valid
-    because branch arcs live in other faces."""
-    pairs = []
-    for a in comp.arcs:
-        u, v = a.ends
-        if arc_mode == pg.MODE_ORIENTED:
-            if view.underlying_adjacent(u, v):
-                continue
-        else:
-            if view.has_arc(u, v):
-                continue
-        pairs.append((a.tail.dart, a.head.dart))
-    if not pairs:
+    """Minimum completion of at most ``cap`` arcs making the branch strong,
+    drawn from one candidate completion per face, or None.  Candidate arcs
+    the branch made illegal are dropped; the rest stay valid because branch
+    arcs live in other faces."""
+    allowed = {}
+    for f, comp in zip(faces, assignment):
+        kept = [a for a in comp.arcs if a.ends not in branch.blocked]
+        if len(kept) == len(comp.arcs):
+            allowed[f] = comp
+        elif kept:
+            allowed[f] = D.completion_from_darts(
+                [(a.tail.dart, a.head.dart) for a in kept]
+            )
+    if not _covers_terminals(branch, allowed):
         return None
-    if len(pairs) == len(comp.arcs):
-        return comp
-    return view.D.completion_from_darts(pairs)
+    inst = dj.build_auxiliary_with_extra(
+        D, branch.ends, allowed, cap, subdivision=False
+    )
+    stats.dijoin_calls += 1
+    y = dj.solve_auxiliary(inst)
+    return dj.extract_solution(inst, y) if y else None
 
 
 def _simple_exhaustive(
     D: pg.PlaneDigraph,
-    view: _BranchView,
-    cands: dict[int, list[pg.Completion]],
+    branch: _Branch,
+    simple: list[tuple[int, list[pg.Completion]]],
     budget: int,
     stats: SolveStats,
-    arc_mode: str = pg.MODE_ORIENTED,
 ) -> Optional[pg.Completion]:
-    """Minimum completion within the candidate faces making the branch
-    strong, by enumerating every face subset of size at most ``budget``
-    and every candidate assignment on it."""
-    faces = sorted(f for f in cands if cands[f])
-    masks = view.terminal_masks()
+    """Minimum completion within the simple faces making the branch strong,
+    by enumerating every face subset of size at most ``budget`` and every
+    candidate assignment on it.  Stops once the subset size exceeds the
+    cap: a smaller completion using fewer faces was offered before."""
     best: Optional[pg.Completion] = None
-    for size in range(1, min(budget, len(faces)) + 1):
-        if best is not None and len(best.arcs) <= size - 1:
-            break
-        for subset in itertools.combinations(faces, size):
-            for assignment in itertools.product(*(cands[f] for f in subset)):
-                allowed = {}
-                for f, comp in zip(subset, assignment):
-                    translated = _allowed_on_branch(view, f, comp, arc_mode)
-                    if translated is not None:
-                        allowed[f] = translated
-                if not allowed or not _covers_terminals(masks, allowed):
-                    continue
-                cap = budget if best is None else min(budget, len(best.arcs) - 1)
-                if cap <= 0:
+    for size in range(1, min(budget, len(simple)) + 1):
+        for subset in itertools.combinations(simple, size):
+            faces = [f for f, _ in subset]
+            for assignment in itertools.product(*(cs for _, cs in subset)):
+                cap = budget if best is None else len(best.arcs) - 1
+                if cap < branch.floor or size > cap:
                     return best
-                inst = dj.build_auxiliary_with_extra(
-                    D, view.pairs, allowed, cap, subdivision=False
+                found = _complete_assignment(
+                    D, branch, faces, assignment, cap, stats
                 )
-                stats.dijoin_calls += 1
-                y = dj.solve_auxiliary(inst)
-                if y:
-                    ext = dj.extract_solution(inst, y)
-                    if best is None or len(ext.arcs) < len(best.arcs):
-                        best = ext
+                if found is not None:
+                    best = found
     return best
 
 
 def _simple_montecarlo(
     D: pg.PlaneDigraph,
-    view: _BranchView,
-    cands: dict[int, list[pg.Completion]],
+    branch: _Branch,
+    simple: list[tuple[int, list[pg.Completion]]],
     budget: int,
+    stats: SolveStats,
     trials: int,
     rng: random.Random,
-    stats: SolveStats,
-) -> Optional[pg.Completion]:
+) -> tuple[Optional[pg.Completion], bool]:
     """Best completion over ``trials`` random candidate assignments, one
-    candidate per face; a branch with no more assignments than ``trials``
-    walks each once instead.  Stops once nothing smaller than the best can
-    exist: the Eswaran-Tarjan floor max(#source, #sink) bounds every
-    completion of the branch from below."""
-    faces = sorted(f for f in cands if cands[f])
-    if not faces:
-        return None
-    sources, sinks = view.terminal_masks()
-    floor = max(len(sources), len(sinks))
-    if math.prod(len(cands[f]) for f in faces) <= trials:
-        assignments = itertools.product(*(cands[f] for f in faces))
+    candidate per face, and whether it walked every assignment instead:
+    it does when there are no more of them than ``trials``."""
+    faces = [f for f, _ in simple]
+    lists = [cs for _, cs in simple]
+    walk = math.prod(len(cs) for cs in lists) <= trials
+    if walk:
+        assignments = itertools.product(*lists)
     else:
-        assignments = (
-            [rng.choice(cands[f]) for f in faces] for _ in range(trials)
-        )
+        assignments = ([rng.choice(cs) for cs in lists] for _ in range(trials))
     best: Optional[pg.Completion] = None
     for assignment in assignments:
-        cap = budget if best is None else min(budget, len(best.arcs) - 1)
-        if cap < floor:
+        cap = budget if best is None else len(best.arcs) - 1
+        if cap < branch.floor:
             break
         stats.trials += 1
-        allowed = {}
-        for f, comp in zip(faces, assignment):
-            translated = _allowed_on_branch(view, f, comp, pg.MODE_ORIENTED)
-            if translated is not None:
-                allowed[f] = translated
-        if not allowed:
+        found = _complete_assignment(D, branch, faces, assignment, cap, stats)
+        if found is not None:
+            best = found
+    return best, walk
+
+
+def _branch_loop(
+    D: pg.PlaneDigraph,
+    branches: Iterable[tuple[pg.Completion, ...]],
+    cands: dict[int, list[pg.Completion]],
+    k: int,
+    arc_mode: str,
+    complete: Callable[..., Optional[pg.Completion]],
+    stats: SolveStats,
+) -> Optional[list[tuple[int, int]]]:
+    """Minimum augmentation within budget ``k``, as dart pairs, or None.
+
+    Each branch picks one completion per alternating face; branches are
+    tried smallest first, so the first one no smaller than the best found
+    ends the loop.  A branch that is not yet strong is handed with its
+    remaining budget to ``complete(D, branch, simple, budget, stats)``,
+    which resolves it in the simple faces from their candidate lists
+    ``cands``.  ``arc_mode`` says which pairs a branch blocks: adjacent
+    ones in oriented mode, existing arcs in directed mode."""
+    simple = [(f, cands[f]) for f in sorted(cands) if cands[f]]
+    best: Optional[list[tuple[int, int]]] = None
+    for parts in sorted(branches, key=lambda ps: sum(len(c) for c in ps)):
+        stats.branches += 1
+        size = sum(len(c) for c in parts)
+        if best is not None and size >= len(best):
+            break
+        arcs = [a for c in parts for a in c.arcs]
+        pairs = [(a.tail.dart, a.head.dart) for a in arcs]
+        ends = [a.ends for a in arcs]
+        sources, sinks = sc.terminal_sides(D.n, list(D.arcs) + ends)
+        if not sources:
+            best = pairs
             continue
-        inst = dj.build_auxiliary_with_extra(
-            D, view.pairs, allowed, cap, subdivision=False
+        floor = max(len(sources), len(sinks))
+        budget = (k if best is None else len(best) - 1) - size
+        if budget < floor or not simple:
+            continue
+        blocked = set(D.arcs).union(ends)
+        if arc_mode == pg.MODE_ORIENTED:
+            blocked |= {(v, u) for u, v in blocked}
+        found = complete(
+            D, _Branch(ends, blocked, sources, sinks, floor), simple, budget,
+            stats,
         )
-        stats.dijoin_calls += 1
-        y = dj.solve_auxiliary(inst)
-        if y:
-            ext = dj.extract_solution(inst, y)
-            if best is None or len(ext.arcs) < len(best.arcs):
-                best = ext
+        if found is not None:
+            best = pairs + [(a.tail.dart, a.head.dart) for a in found.arcs]
     return best
+
+
+# ---------------------------------------------------------------------------
+# oriented-mode branching solver
+# ---------------------------------------------------------------------------
 
 
 def solve_oriented(
@@ -494,94 +530,52 @@ def solve_oriented(
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
     stats = SolveStats(seed=seed)
-    report = lambda verdict, opt, wit: SolveReport(
-        verdict=verdict, optimum=opt, witness=wit,
-        mode=pg.MODE_ORIENTED, k=k, stats=stats,
-    )
     if sc.is_strong(D):
-        return report(True, 0, pg.EMPTY_COMPLETION)
-    if k <= 0:
-        return report(False, None, None)
+        return _report(pg.MODE_ORIENTED, k, stats, pg.EMPTY_COMPLETION)
+    exact = method == "exhaustive"
     # the exhaustive mode is exact and deterministic, so its outcomes are
     # budget-monotone facts about the instance and can be reused
-    memo = D._analysis_cache.setdefault(
-        "oriented_memo", {"opt": None, "witness": None, "no_at": 0}
-    )
-    if method == "exhaustive":
-        if memo["opt"] is not None:
-            if memo["opt"] <= k:
-                return report(True, memo["opt"], memo["witness"])
-            return report(False, None, None)
-        if k <= memo["no_at"]:
-            return report(False, None, None)
-    part = sc.scc(D)
-    if part.terminal_count > 2 * k:
-        return report(False, None, None)
-    if fa.alternating_terminal_sum(D) >= 8 * k:
-        return report(False, None, None)
-
-    simple_cands = {
-        f: ce.simple_face_candidates(D, f) for f in fa.simple_faces(D)
-    }
-    rng = random.Random(seed)
-    if method == "montecarlo" and trials is None:
-        trials = default_trials(k)
-
-    best: Optional[pg.Completion] = None
-    branches = sorted(
-        ce.alternating_branches(D, k, minimal_only=True),
-        key=lambda parts: sum(len(c) for c in parts),
-    )
-    for parts in branches:
-        stats.branches += 1
-        size_af = sum(len(c) for c in parts)
-        if best is not None and size_af >= len(best.arcs):
-            break  # branches are size-sorted
-        af_arcs = [a for c in parts for a in c.arcs]
-        view = _BranchView(D, [a.ends for a in af_arcs])
-        if view.is_strong():
-            cand = D.completion_from_darts(
-                [(a.tail.dart, a.head.dart) for a in af_arcs]
-            )
-            ok, diag = verify_solution(D, cand, pg.MODE_ORIENTED)
-            if not ok:  # pragma: no cover - guarded by construction
-                raise AssertionError(f"invalid branch witness: {diag}")
-            if best is None or len(cand.arcs) < len(best.arcs):
-                best = cand
-            continue
-        rem = k - size_af
-        if best is not None:
-            rem = min(rem, len(best.arcs) - size_af - 1)
-        if rem <= 0:
-            continue
-        if method == "exhaustive":
-            found = _simple_exhaustive(D, view, simple_cands, rem, stats)
+    memo = _memo(D, pg.MODE_ORIENTED)
+    known, witness = memo.lookup(k) if exact else (False, None)
+    if known:
+        return _report(pg.MODE_ORIENTED, k, stats, witness)
+    best = None
+    sampled = False
+    if not _hopeless(D, k):
+        cands = {f: ce.simple_face_candidates(D, f) for f in fa.simple_faces(D)}
+        if exact:
+            complete = _simple_exhaustive
         else:
-            found = _simple_montecarlo(
-                D, view, simple_cands, rem, trials, rng, stats
-            )
-        if found is not None:
-            pairs = [(a.tail.dart, a.head.dart) for a in af_arcs] + [
-                (a.tail.dart, a.head.dart) for a in found.arcs
-            ]
-            cand = D.completion_from_darts(pairs)
-            ok, diag = verify_solution(D, cand, pg.MODE_ORIENTED)
-            if not ok:  # pragma: no cover - guarded by construction
-                raise AssertionError(f"solver produced invalid witness: {diag}")
-            if best is None or len(cand.arcs) < len(best.arcs):
-                best = cand
+            trials = default_trials(k) if trials is None else trials
+            rng = random.Random(seed)
+
+            def complete(D, branch, simple, budget, stats):
+                nonlocal sampled
+                found, walked = _simple_montecarlo(
+                    D, branch, simple, budget, stats, trials, rng
+                )
+                sampled = sampled or not walked
+                return found
+
+        best = _branch_loop(
+            D, ce.alternating_branches(D, k, minimal_only=True), cands, k,
+            pg.MODE_ORIENTED, complete, stats,
+        )
     if best is not None:
-        if method == "exhaustive":
-            memo["opt"] = len(best.arcs)
-            memo["witness"] = best
-        return report(True, len(best.arcs), best)
-    if method == "exhaustive":
-        memo["no_at"] = max(memo["no_at"], k)
-    else:
-        # a no may err; report the per-branch confidence of the sampling
+        witness = D.completion_from_darts(best)
+        ok, diag = verify_solution(D, witness, pg.MODE_ORIENTED)
+        if not ok:  # pragma: no cover - guarded by construction
+            raise AssertionError(f"solver produced invalid witness: {diag}")
+    elif not exact:
+        # a no is exact unless some branch was sampled; then report the
+        # per-branch confidence of the sampling
         p = PINNED_SIMPLE_CANDIDATE_BOUND ** (-k)
-        stats.extra["no_confidence"] = 1.0 - (1.0 - p) ** max(trials, 1)
-    return report(False, None, None)
+        stats.no_confidence = (
+            1.0 - (1.0 - p) ** max(trials, 1) if sampled else 1.0
+        )
+    if exact:
+        memo.record(k, witness)
+    return _report(pg.MODE_ORIENTED, k, stats, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -591,56 +585,22 @@ def solve_oriented(
 
 def _solve_directed_part(
     part: pg.PlaneDigraph, kmax: int, stats: SolveStats
-) -> Optional[tuple[int, list[tuple[int, int]]]]:
-    """Minimum augmentation of one loopless acyclic part, as (size, dart
-    pairs), or None when it exceeds ``kmax``."""
+) -> Optional[list[tuple[int, int]]]:
+    """Minimum augmentation of one loopless acyclic part, as dart pairs,
+    or None when it exceeds ``kmax``."""
     if sc.is_strong(part):
-        return 0, []
-    spart = sc.scc(part)
-    if spart.terminal_count > 2 * kmax:
+        return []
+    if _hopeless(part, kmax):
         return None
-    lt_sum = fa.alternating_terminal_sum(part)
-    if lt_sum >= 8 * kmax:
-        return None  # any positive budget-b instance has lt_sum < 8b <= 8*kmax
-    af = fa.alternating_faces(part)
-    sf = fa.simple_faces(part)
     cands = {
         f: [c for c in ce.directed_supported_completions(part, f, 1) if c.arcs]
-        for f in sf
+        for f in fa.simple_faces(part)
     }
-    best: Optional[list[tuple[int, int]]] = None
-    for parts_choice in sorted(
-        ce.directed_joint_branches(part, af, kmax),
-        key=lambda ps: sum(len(c) for c in ps),
-    ):
-        stats.branches += 1
-        size_af = sum(len(c) for c in parts_choice)
-        if best is not None and size_af >= len(best):
-            break
-        af_arcs = [a for c in parts_choice for a in c.arcs]
-        af_pairs = [(a.tail.dart, a.head.dart) for a in af_arcs]
-        view = _BranchView(part, [a.ends for a in af_arcs])
-        if view.is_strong():
-            if best is None or size_af < len(best):
-                best = af_pairs
-            continue
-        rem = kmax - size_af
-        if best is not None:
-            rem = min(rem, len(best) - size_af - 1)
-        if rem <= 0:
-            continue
-        found = _simple_exhaustive(
-            part, view, cands, rem, stats, arc_mode=pg.MODE_DIRECTED
-        )
-        if found is not None:
-            pairs = af_pairs + [
-                (a.tail.dart, a.head.dart) for a in found.arcs
-            ]
-            if best is None or len(pairs) < len(best):
-                best = pairs
-    if best is None:
-        return None
-    return len(best), best
+    branches = ce.directed_joint_branches(part, fa.alternating_faces(part), kmax)
+    return _branch_loop(
+        part, branches, cands, kmax, pg.MODE_DIRECTED, _simple_exhaustive,
+        stats,
+    )
 
 
 def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
@@ -654,53 +614,32 @@ def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
     stats = SolveStats()
-    report = lambda verdict, opt, wit: SolveReport(
-        verdict=verdict, optimum=opt, witness=wit,
-        mode=pg.MODE_DIRECTED, k=k, stats=stats,
-    )
     if sc.is_strong(D):
-        return report(True, 0, pg.EMPTY_COMPLETION)
-    if k <= 0:
-        return report(False, None, None)
-    memo = D._analysis_cache.setdefault(
-        "directed_memo", {"opt": None, "witness": None, "no_at": 0}
-    )
-    if memo["opt"] is not None:
-        if memo["opt"] <= k:
-            return report(True, memo["opt"], memo["witness"])
-        return report(False, None, None)
-    if k <= memo["no_at"]:
-        return report(False, None, None)
+        return _report(pg.MODE_DIRECTED, k, stats, pg.EMPTY_COMPLETION)
+    memo = _memo(D, pg.MODE_DIRECTED)
+    known, witness = memo.lookup(k)
+    if known:
+        return _report(pg.MODE_DIRECTED, k, stats, witness)
     cond = sc.condense(D)
     recipe = sc.split_loops(cond.condensed)
-    total = 0
-    part_solutions: list[list[tuple[int, int]]] = []
-    for sp_part in recipe.parts:
-        res = _solve_directed_part(sp_part.graph, k - total, stats)
-        if res is None:
-            memo["no_at"] = max(memo["no_at"], k)
-            return report(False, None, None)
-        size, pairs = res
-        total += size
-        part_solutions.append(pairs)
-        if total > k:
-            memo["no_at"] = max(memo["no_at"], k)
-            return report(False, None, None)
     # recombine across parts and lift through the condensation
-    pairs_on_condensed = []
-    for sp_part, sol in zip(recipe.parts, part_solutions):
-        for dt, dh in sol:
-            pairs_on_condensed.append(
-                (
-                    2 * sp_part.arc_back[dt >> 1] + (dt & 1),
-                    2 * sp_part.arc_back[dh >> 1] + (dh & 1),
-                )
-            )
+    pairs_on_condensed: list[tuple[int, int]] = []
+    for sp_part in recipe.parts:
+        sol = _solve_directed_part(
+            sp_part.graph, k - len(pairs_on_condensed), stats
+        )
+        if sol is None:
+            memo.record(k, None)
+            return _report(pg.MODE_DIRECTED, k, stats, None)
+        back = sp_part.arc_back
+        pairs_on_condensed += [
+            (2 * back[dt >> 1] + (dt & 1), 2 * back[dh >> 1] + (dh & 1))
+            for dt, dh in sol
+        ]
     x_c = cond.condensed.completion_from_darts(pairs_on_condensed)
     witness = sc.lift_solution(cond, x_c)
     ok, diag = verify_solution(D, witness, pg.MODE_DIRECTED)
     if not ok:  # pragma: no cover - guarded by construction
         raise AssertionError(f"directed witness failed verification: {diag}")
-    memo["opt"] = total
-    memo["witness"] = witness
-    return report(True, total, witness)
+    memo.record(k, witness)
+    return _report(pg.MODE_DIRECTED, k, stats, witness)

@@ -91,6 +91,28 @@ def scc_of_arcs(n: int, arcs) -> list[int]:
     return comp
 
 
+def terminal_sides(n: int, arcs) -> tuple[list[int], list[int]]:
+    """Vertex bitmasks of the source components and of the sink
+    components, in component-id order; ``([], [])`` when the digraph is
+    strongly connected."""
+    comp = scc_of_arcs(n, arcs)
+    ncomp = max(comp) + 1 if n else 0
+    if ncomp <= 1:
+        return [], []
+    has_in = [False] * ncomp
+    has_out = [False] * ncomp
+    for u, v in arcs:
+        if comp[u] != comp[v]:
+            has_out[comp[u]] = True
+            has_in[comp[v]] = True
+    masks = [0] * ncomp
+    for v in range(n):
+        masks[comp[v]] |= 1 << v
+    sources = [masks[c] for c in range(ncomp) if not has_in[c]]
+    sinks = [masks[c] for c in range(ncomp) if not has_out[c]]
+    return sources, sinks
+
+
 def scc(D: pg.PlaneDigraph) -> SccPartition:
     """Strong components with terminal (source/sink) flags.
 
@@ -267,7 +289,7 @@ class SplitPart:
 
 @dataclass
 class SplitRecipe:
-    """Loopless parts of an acyclic-with-loops digraph plus recombination.
+    """Loopless parts of an acyclic-with-loops digraph.
 
     The budget of the parent instance is the sum over parts; part
     solutions recombine by translating angle darts through ``arc_back``
@@ -276,17 +298,6 @@ class SplitRecipe:
 
     parent: pg.PlaneDigraph
     parts: list[SplitPart] = field(default_factory=list)
-
-    def lift_dart(self, part_index: int, dart: int) -> int:
-        back = self.parts[part_index].arc_back
-        return 2 * back[dart >> 1] + (dart & 1)
-
-    def recombine(self, part_solutions: list[list[tuple[int, int]]]):
-        pairs = []
-        for i, sol in enumerate(part_solutions):
-            for dt, dh in sol:
-                pairs.append((self.lift_dart(i, dt), self.lift_dart(i, dh)))
-        return pairs
 
 
 def _subgraph(parent: pg.PlaneDigraph, arc_ids: list[int]) -> SplitPart:

@@ -255,3 +255,33 @@ def test_reachability_matches_naive_closure():
         assert ce._reachability(D) == closure_reference(D)
         # the one-pass closure relies on Tarjan's sinks-first numbering
         assert all(cu > cv for cu, cv in sc.scc(D).comp_arcs)
+
+
+def joint_branches_reference(D, faces, k):
+    """Every product of per-face completions with at most k arcs in total
+    and no two equal arcs, in product order."""
+    per_face = [ce.directed_supported_completions(D, f, k) for f in faces]
+    out = []
+    for combo in itertools.product(*per_face):
+        ends = [a.ends for c in combo for a in c.arcs]
+        if len(ends) <= k and len(set(ends)) == len(ends):
+            out.append(combo)
+    return out
+
+
+def test_directed_joint_branches_match_product_reference(alternating_octagon):
+    # the octagon's two faces hold 897 completions each at k = 2, so its
+    # product is only walked at k = 1
+    cases = [(alternating_octagon, 1)]
+    for n in (7, 8):
+        for seed in range(6):
+            D = pog_io.gen_random(n, n + 1 + seed % 3, seed)
+            for p in sc.split_loops(sc.condense(D).condensed).parts:
+                cases += [(p.graph, k) for k in (1, 2, 3)]
+    multi_face = 0
+    for part, k in cases:
+        faces = fa.alternating_faces(part)
+        got = list(ce.directed_joint_branches(part, faces, k))
+        assert got == joint_branches_reference(part, faces, k)
+        multi_face += len(faces) >= 2 and len(got) > 1
+    assert multi_face >= 4

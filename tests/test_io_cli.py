@@ -149,3 +149,29 @@ def test_cli_json_report_montecarlo_no(tmp_path, alternating_square, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "no"
     assert 0.0 < data["statistics"]["no_confidence"] <= 1.0
+
+
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+@pytest.mark.parametrize(
+    "witness",
+    [
+        '[{"face": 0}]',
+        '{"arcs": 5}',
+        '{"arcs": [{"face": 0}]}',
+        '{"arcs": [{"face": "x", "tail": {}, "head": {}}]}',
+        '{"arcs": [{"face": 0, "tail": {"position": 0.5}, "head": {"position": 1}}]}',
+        '{"arcs": [{"face": 0, "tail": 3, "head": {"position": 1}}]}',
+        '{"witness": []}',
+    ],
+)
+def test_cli_bad_witness_shape_is_parse_error(tmp_path, capsys, path3, command, witness):
+    graph_file = tmp_path / "g.pog"
+    graph_file.write_text(pog_io.write_pog(path3))
+    wit_file = tmp_path / "w.json"
+    wit_file.write_text(witness)
+    with pytest.raises(ParseError):
+        pog_io.completion_from_json(path3, witness)
+    args = [command, str(graph_file)]
+    args += [str(wit_file)] if command == "verify" else ["--witness", str(wit_file)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: witness")

@@ -121,6 +121,30 @@ def test_montecarlo_agrees_with_exhaustive_under_default_trials():
         assert (mc.verdict, mc.optimum) == (ex.verdict, ex.optimum)
 
 
+def test_montecarlo_no_is_exact_when_nothing_was_sampled(alternating_square):
+    # no simple faces: every branch is decided without sampling
+    rep = sv.solve_oriented(alternating_square, 2, method="montecarlo")
+    assert not rep.verdict and rep.stats.trials == 0
+    assert rep.stats.no_confidence == 1.0
+    # four candidate assignments, all walked since trials allow it
+    D = ep.oriented_corpus(5)[42]
+    rep = sv.solve_oriented(fresh(D), 1, method="montecarlo", trials=10, seed=0)
+    assert not rep.verdict and rep.stats.trials == 4
+    assert rep.stats.no_confidence == 1.0
+    assert not sv.solve_oriented(fresh(D), 1).verdict
+
+
+def test_montecarlo_no_confidence_when_sampled():
+    D = ep.oriented_corpus(5)[42]
+    rep = sv.solve_oriented(fresh(D), 1, method="montecarlo", trials=1, seed=0)
+    assert not rep.verdict and rep.stats.trials == 1
+    p = 1 / sv.PINNED_SIMPLE_CANDIDATE_BOUND
+    assert rep.stats.no_confidence == pytest.approx(p)
+    # a yes and an exhaustive no carry no confidence
+    assert sv.solve_oriented(fresh(D), 2, method="montecarlo", seed=0).stats.no_confidence is None
+    assert sv.solve_oriented(fresh(D), 1).stats.no_confidence is None
+
+
 def test_exhaustive_accepts_huge_budget(alternating_square):
     # the Monte-Carlo trial count is never computed in exhaustive mode
     for D in (ep.oriented_corpus(5)[177], alternating_square):

@@ -119,3 +119,46 @@ def test_split_conserves_arcs_and_shares_only_loop_vertices():
         for b in recipe.parts[i + 1 :]:
             shared = set(a.vertex_back) & set(b.vertex_back)
             assert shared <= {0}  # only the loop vertex
+
+
+def terminal_sides_reference(n, arcs):
+    """Source and sink components from a naive fixed-point closure."""
+    reach = [1 << v for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in arcs:
+            if reach[u] | reach[v] != reach[u]:
+                reach[u] |= reach[v]
+                changed = True
+    reached_by = [sum(1 << w for w in range(n) if (reach[w] >> v) & 1)
+                  for v in range(n)]
+    comps = {reach[v] & reached_by[v] for v in range(n)}
+    if len(comps) <= 1:
+        return [], []
+    first = lambda m: (m & -m).bit_length() - 1
+    sources = sorted(m for m in comps if reached_by[first(m)] == m)
+    sinks = sorted(m for m in comps if reach[first(m)] == m)
+    return sources, sinks
+
+
+def test_terminal_sides_matches_naive_closure():
+    from orient_augment import pog_io
+
+    graphs = list(ep.oriented_corpus(5))
+    for n in range(3, 17):
+        for seed in range(4):
+            graphs.append(pog_io.gen_random(n, n - 1 + seed * (2 * n - 5) // 3, seed))
+    strong = 0
+    for D in graphs:
+        sources, sinks = sc.terminal_sides(D.n, D.arcs)
+        assert (sorted(sources), sorted(sinks)) == terminal_sides_reference(D.n, D.arcs)
+        assert len(sources) == len(sc.scc(D).sources)
+        assert len(sinks) == len(sc.scc(D).sinks)
+        strong += sources == sinks == []
+    assert strong > 0
+
+
+def test_terminal_sides_strong(triangle):
+    assert sc.terminal_sides(triangle.n, triangle.arcs) == ([], [])
+    assert sc.terminal_sides(1, []) == ([], [])
