@@ -340,7 +340,6 @@ def directed_supported_completions(
 
     out: list[pg.Completion] = [pg.EMPTY_COMPLETION]
     chosen: list[tuple[int, int, int, int]] = []
-    seen: set[frozenset] = set()
 
     def rec(start: int) -> None:
         for idx in range(start, len(cands)):
@@ -356,13 +355,9 @@ def directed_supported_completions(
             if not ok:
                 continue
             chosen.append(cands[idx])
-            comp = D.completion_from_darts(
+            out.append(D.completion_from_darts(
                 [(walk[a], walk[b]) for (a, b, _, _) in chosen]
-            )
-            key = comp.key()
-            if key not in seen:
-                seen.add(key)
-                out.append(comp)
+            ))
             if len(chosen) < budget:
                 rec(idx + 1)
             chosen.pop()

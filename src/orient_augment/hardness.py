@@ -137,13 +137,20 @@ def find_rotations(
     return out
 
 
+def _dimacs_ints(tokens: Sequence[str], ln: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ParseError(f"line {ln}: non-integer token: {exc}") from exc
+
+
 def parse_dimacs(text: str) -> PlanarCnf:
     """Extended DIMACS: standard ``p cnf`` plus ``rotv``/``rotc`` lines
     giving clockwise orders (1-based ids)."""
     n_vars = 0
-    raw_clauses: list[list[int]] = []
-    rotv_lines: dict[int, list[int]] = {}
-    rotc_lines: dict[int, list[int]] = {}
+    raw_clauses: list[tuple[int, list[int]]] = []     # (line, literals)
+    rotv_lines: dict[int, tuple[int, list[int]]] = {}  # id -> (line, order)
+    rotc_lines: dict[int, tuple[int, list[int]]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("c"):
@@ -152,21 +159,35 @@ def parse_dimacs(text: str) -> PlanarCnf:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"line {ln}: bad problem line")
-            n_vars = int(parts[2])
-        elif parts[0] == "rotv":
-            rotv_lines[int(parts[1]) - 1] = [int(t) - 1 for t in parts[2:]]
-        elif parts[0] == "rotc":
-            rotc_lines[int(parts[1]) - 1] = [int(t) - 1 for t in parts[2:]]
+            n_vars = _dimacs_ints(parts[2:], ln)[0]
+            if n_vars < 0:
+                raise ParseError(f"line {ln}: negative variable count")
+        elif parts[0] in ("rotv", "rotc"):
+            ids = _dimacs_ints(parts[1:], ln)
+            if not ids:
+                raise ParseError(f"line {ln}: expected '{parts[0]} <id> ...'")
+            table = rotv_lines if parts[0] == "rotv" else rotc_lines
+            table[ids[0] - 1] = (ln, [t - 1 for t in ids[1:]])
         else:
-            lits = [int(t) for t in parts]
+            lits = _dimacs_ints(parts, ln)
             if lits[-1] != 0:
                 raise ParseError(f"line {ln}: clause must end with 0")
-            raw_clauses.append(lits[:-1])
+            raw_clauses.append((ln, lits[:-1]))
+    for x, (ln, _) in rotv_lines.items():
+        if not 0 <= x < n_vars:
+            raise ParseError(f"line {ln}: no variable {x + 1}")
+    for j, (ln, order) in rotc_lines.items():
+        if not 0 <= j < len(raw_clauses):
+            raise ParseError(f"line {ln}: no clause {j + 1}")
+        if sorted(order) != sorted(abs(l) - 1 for l in raw_clauses[j][1]):
+            raise ParseError(f"line {ln}: rotc must list the clause's variables")
     clauses = []
-    for j, lits in enumerate(raw_clauses):
+    for j, (ln, lits) in enumerate(raw_clauses):
+        if any(l == 0 or abs(l) > n_vars for l in lits):
+            raise ParseError(f"line {ln}: literal out of range 1..{n_vars}")
         trip = [(abs(l) - 1, l > 0) for l in lits]
         if j in rotc_lines:
-            order = rotc_lines[j]
+            order = rotc_lines[j][1]
             trip.sort(key=lambda t: order.index(t[0]))
         clauses.append(tuple(trip))
     rotv = []
@@ -174,7 +195,7 @@ def parse_dimacs(text: str) -> PlanarCnf:
         mentioned = [
             j for j, c in enumerate(clauses) if any(v == x for v, _ in c)
         ]
-        rotv.append(tuple(rotv_lines.get(x, mentioned)))
+        rotv.append(tuple(rotv_lines[x][1] if x in rotv_lines else mentioned))
     phi = PlanarCnf(n_vars=n_vars, clauses=tuple(clauses), rotv=tuple(rotv))
     phi.validate()
     return phi
@@ -500,58 +521,35 @@ def pad_formula(phi: PlanarCnf) -> PlanarCnf:
         )
         base_clauses = [tuple(c) for c in current.clauses]
         new_j = len(base_clauses)
-        placed = None
         trip = base_clauses[j]
-        for order in (tuple(reversed(trip)), trip):
-            import itertools as _it
-            slots = []
-            for (v, _pol) in trip:
-                at = current.rotv[v].index(j)
-                slots.append((at, at + 1))
-            for offs in _it.product(*slots):
-                rotv = [list(r) for r in current.rotv]
-                for (v, _pol), off in zip(trip, offs):
-                    rotv[v].insert(off, new_j)
-                cand = PlanarCnf(
-                    n_vars=current.n_vars,
-                    clauses=tuple(base_clauses + [order]),
-                    rotv=tuple(tuple(r) for r in rotv),
-                )
-                try:
-                    cand.validate()
-                except EmbeddingConflict:
-                    continue
-                placed = cand
-                break
-            if placed is not None:
-                break
-        if placed is None:
-            # widen: any insertion positions
-            import itertools as _it
-            ranges = [
-                range(len(current.rotv[v]) + 1) for (v, _pol) in trip
-            ]
-            for order in (tuple(reversed(trip)), trip):
-                for offs in _it.product(*ranges):
-                    rotv = [list(r) for r in current.rotv]
-                    for (v, _pol), off in zip(trip, offs):
-                        rotv[v].insert(off, new_j)
-                    cand = PlanarCnf(
-                        n_vars=current.n_vars,
-                        clauses=tuple(base_clauses + [order]),
-                        rotv=tuple(tuple(r) for r in rotv),
-                    )
-                    try:
-                        cand.validate()
-                    except EmbeddingConflict:
-                        continue
-                    placed = cand
-                    break
-                if placed is not None:
-                    break
+        # next to the original clause first, then anywhere
+        near = [
+            (at, at + 1) for at in (current.rotv[v].index(j) for v, _ in trip)
+        ]
+        anywhere = [range(len(current.rotv[v]) + 1) for v, _ in trip]
+
+        def placements():
+            for offsets in (near, anywhere):
+                for order in (tuple(reversed(trip)), trip):
+                    for offs in itertools.product(*offsets):
+                        rotv = [list(r) for r in current.rotv]
+                        for (v, _pol), off in zip(trip, offs):
+                            rotv[v].insert(off, new_j)
+                        cand = PlanarCnf(
+                            n_vars=current.n_vars,
+                            clauses=tuple(base_clauses + [order]),
+                            rotv=tuple(tuple(r) for r in rotv),
+                        )
+                        try:
+                            cand.validate()
+                        except EmbeddingConflict:
+                            continue
+                        yield cand
+
+        placed = next(placements(), None)
         if placed is None:
             raise EmbeddingConflict(
-                "could not embed the duplicated clause next to its original"
+                "could not embed the duplicated clause anywhere"
             )
         current = placed
 

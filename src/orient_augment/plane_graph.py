@@ -30,7 +30,7 @@ from .errors import (
 MODE_ORIENTED = "oriented"
 MODE_DIRECTED = "directed"
 MODE_MULTI = "multi"
-_MODES = (MODE_ORIENTED, MODE_DIRECTED, MODE_MULTI)
+MODES = (MODE_ORIENTED, MODE_DIRECTED, MODE_MULTI)
 
 
 def tail_dart(arc: int) -> int:
@@ -299,7 +299,6 @@ def build(
     rotation: Sequence[Sequence[int]],
     mode: str = MODE_ORIENTED,
     outer_face: int = 0,
-    require_sphere: bool = True,
 ) -> PlaneDigraph:
     """Build and validate a plane digraph from its rotation system.
 
@@ -309,7 +308,7 @@ def build(
     ``NonSphericalEmbedding`` when the graph is connected but the Euler
     relation fails.  A disconnected underlying graph is flagged, not fatal.
     """
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     arcs = tuple((int(u), int(v)) for u, v in arcs)
     for u, v in arcs:
@@ -342,7 +341,7 @@ def build(
     faces, dart_face, dart_pos, rot_next = _trace_faces(n, arcs, rotation)
 
     connected = _underlying_connected(n, arcs)
-    if connected and arcs and require_sphere:
+    if connected and arcs:
         if n - len(arcs) + len(faces) != 2:
             raise NonSphericalEmbedding(
                 f"Euler characteristic {n - len(arcs) + len(faces)} != 2"
@@ -535,23 +534,3 @@ def insert_arcs(
         outer_face=base.outer_face,
     )
 
-
-def delete_arcs(base: PlaneDigraph, arc_ids: Iterable[int]) -> PlaneDigraph:
-    """Remove arcs (renumbering the rest) and re-trace faces."""
-    drop = set(arc_ids)
-    keep = [a for a in range(base.m) if a not in drop]
-    remap = {a: i for i, a in enumerate(keep)}
-    new_arcs = [base.arcs[a] for a in keep]
-    new_rotation = []
-    for v in range(base.n):
-        ring = []
-        for d in base.rotation[v]:
-            a = d >> 1
-            if a in drop:
-                continue
-            ring.append(2 * remap[a] + (d & 1))
-        new_rotation.append(tuple(ring))
-    return build(
-        base.n, new_arcs, new_rotation, mode=base.mode, outer_face=0,
-        require_sphere=False,
-    )

@@ -40,10 +40,14 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
     if len(head) != 4 or head[0] != "pog":
         raise ParseError("line 1: expected 'pog <mode> <n> <m>'")
     mode = head[1]
+    if mode not in pg.MODES:
+        raise ParseError(f"line 1: unknown mode {mode!r}")
     try:
         n, m = int(head[2]), int(head[3])
     except ValueError as exc:
         raise ParseError(f"line 1: bad counts: {exc}") from exc
+    if n < 0 or m < 0:
+        raise ParseError(f"line 1: negative count in {lines[0]!r}")
     arcs: list[Optional[tuple[int, int]]] = [None] * m
     rotation: list[Optional[tuple[int, ...]]] = [None] * n
     seen_ends: set[int] = set()

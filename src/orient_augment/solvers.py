@@ -621,10 +621,9 @@ def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
     if known:
         return _report(pg.MODE_DIRECTED, k, stats, witness)
     cond = sc.condense(D)
-    recipe = sc.split_loops(cond.condensed)
     # recombine across parts and lift through the condensation
     pairs_on_condensed: list[tuple[int, int]] = []
-    for sp_part in recipe.parts:
+    for sp_part in sc.split_loops(cond.condensed):
         sol = _solve_directed_part(
             sp_part.graph, k - len(pairs_on_condensed), stats
         )

@@ -1,19 +1,21 @@
 """Strong components, plane-preserving condensation, and loop splitting.
 
-Condensation contracts, in arc-id order, every non-loop arc whose ends lie
-in one strong component, keeping multi-arcs and loops (mode ``multi``).
-Loop splitting then cuts the resulting DAG-with-loops into loopless parts.
-Both steps keep original arc ids stable, so completion arcs expressed as
-angle darts lift back through them without translation: an angle keyed by
-the dart ``d`` means "insert immediately clockwise of arc end ``d``" in
-any of the graphs, and the vertex it attaches to is derived from the graph
-at hand.
+Condensation contracts a spanning forest of every strong component (the
+one a union-find pass over the arcs in id order picks), keeping multi-arcs
+and loops (mode ``multi``).  Each merged vertex's rotation is one walk
+around its tree, clockwise at each vertex and across each contracted arc.
+Loop splitting then cuts the resulting DAG-with-loops into loopless parts:
+arcs whose ends share a sector (the innermost loop around an arc end, or
+none) go to one part.  Both steps keep original arc ids stable, so
+completion arcs expressed as angle darts lift back through them without
+translation: an angle keyed by the dart ``d`` means "insert immediately
+clockwise of arc end ``d``" in any of the graphs, and the vertex it
+attaches to is derived from the graph at hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from . import plane_graph as pg
 from .errors import NotASolution
@@ -158,100 +160,75 @@ def is_strong(D: pg.PlaneDigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _find(root: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
 @dataclass
 class CondensationResult:
     original: pg.PlaneDigraph
     condensed: pg.PlaneDigraph
-    vertex_map: tuple[int, ...]          # original vertex -> condensed vertex
     arc_map: dict[int, int]              # original arc id -> condensed arc id
-    contraction_log: tuple[int, ...]     # original arc ids, contraction order
-
-
-def _contract_arc(n, arcs, rotation, arc_id):
-    """Contract arc ``arc_id`` = (u, v), merging v into u.
-
-    Rotations are spliced: the tail end at u is replaced by v's rotation
-    taken clockwise from just after the head end.  Arc ids are unchanged;
-    other u-v arcs become loops.
-    """
-    u, v = arcs[arc_id]
-    assert u != v
-    t, h = pg.tail_dart(arc_id), pg.head_dart(arc_id)
-    ru = rotation[u]
-    rv = rotation[v]
-    hi = rv.index(h)
-    spliced_v = rv[hi + 1 :] + rv[:hi]
-    ti = ru.index(t)
-    merged = ru[:ti] + spliced_v + ru[ti + 1 :]
-    new_rotation = list(rotation)
-    new_rotation[u] = merged
-    new_rotation[v] = ()
-    new_arcs = [
-        (u if a == v else a, u if b == v else b) for (a, b) in arcs
-    ]
-    return new_arcs, new_rotation
+    contraction_log: tuple[int, ...]     # contracted original arc ids, in order
 
 
 def condense(D: pg.PlaneDigraph) -> CondensationResult:
-    """Contract every non-loop arc inside a strong component, in arc-id
-    order, preserving multi-arcs and loops.
+    """Contract a spanning forest of every strong component, preserving
+    multi-arcs and loops.
 
-    The result is acyclic apart from loops.  Vertices are re-packed to
-    dense ids; arc ids shift down only by the removed (contracted) arcs.
+    The forest is the one a union-find pass over the arcs in id order
+    picks: an arc is contracted when its ends lie in one strong component
+    but not yet in one tree; the tree keeps the id of the tail's root.
+    Every other arc inside a component becomes a loop, so the result is
+    acyclic apart from loops.  A merged vertex's rotation is one walk
+    around its tree from the root's first arc end: clockwise at each
+    vertex, crossing each contracted arc to continue clockwise after its
+    other end.  Vertices are re-packed to dense ids in root order; arc
+    ids shift down only by the contracted arcs.
     """
-    part = scc(D)
-    comp = part.component
-    arcs = list(D.arcs)
-    rotation = list(D.rotation)
-    n = D.n
-    log: list[int] = []
-    for a in range(len(arcs)):
-        u, v = arcs[a]
-        if u != v and comp[u] == comp[v]:
-            arcs, rotation = _contract_arc(n, arcs, rotation, a)
-            log.append(a)
-
-    contracted = set(log)
-    keep_arcs = [a for a in range(len(arcs)) if a not in contracted]
-    arc_remap = {a: i for i, a in enumerate(keep_arcs)}
-    # vertex images: replay merges on a union-find
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in log:
-        u0, v0 = D.arcs[a]
-        ru, rv = find(u0), find(v0)
-        if ru != rv:
-            parent[rv] = ru
-    reps = sorted({find(v) for v in range(n)})
+    comp = scc(D).component
+    root = list(range(D.n))
+    contracted = [False] * D.m
+    for a, (u, v) in enumerate(D.arcs):
+        if comp[u] == comp[v]:
+            ru, rv = _find(root, u), _find(root, v)
+            if ru != rv:
+                root[rv] = ru
+                contracted[a] = True
+    keep = [a for a in range(D.m) if not contracted[a]]
+    arc_map = {a: i for i, a in enumerate(keep)}
+    reps = [v for v in range(D.n) if root[v] == v]
     vid = {r: i for i, r in enumerate(reps)}
-    new_arcs = [
-        (vid[find(arcs[a][0])], vid[find(arcs[a][1])]) for a in keep_arcs
-    ]
-    new_rotation: list[tuple[int, ...]] = [() for _ in reps]
+    rotation = []
     for r in reps:
-        ring = rotation[r]
-        new_rotation[vid[r]] = tuple(
-            2 * arc_remap[d >> 1] + (d & 1) for d in ring
-        )
+        ring = []
+        if D.rotation[r]:
+            start = d = D.rotation[r][0]
+            while True:
+                if contracted[d >> 1]:
+                    d = D.rot_next(d ^ 1)
+                else:
+                    ring.append(2 * arc_map[d >> 1] + (d & 1))
+                    d = D.rot_next(d)
+                if d == start:
+                    break
+        rotation.append(tuple(ring))
+    arcs = [
+        (vid[_find(root, D.arcs[a][0])], vid[_find(root, D.arcs[a][1])])
+        for a in keep
+    ]
     condensed = pg.build(
-        len(reps),
-        new_arcs,
-        new_rotation,
-        mode=pg.MODE_MULTI,
-        outer_face=0,
+        len(reps), arcs, rotation, mode=pg.MODE_MULTI, outer_face=0
     )
     return CondensationResult(
         original=D,
         condensed=condensed,
-        vertex_map=tuple(vid[find(v)] for v in range(n)),
-        arc_map={a: arc_remap[a] for a in keep_arcs},
-        contraction_log=tuple(log),
+        arc_map=arc_map,
+        contraction_log=tuple(a for a in range(D.m) if contracted[a]),
     )
 
 
@@ -287,19 +264,6 @@ class SplitPart:
     arc_back: tuple[int, ...]      # part arc id -> parent arc id
 
 
-@dataclass
-class SplitRecipe:
-    """Loopless parts of an acyclic-with-loops digraph.
-
-    The budget of the parent instance is the sum over parts; part
-    solutions recombine by translating angle darts through ``arc_back``
-    and taking the union.
-    """
-
-    parent: pg.PlaneDigraph
-    parts: list[SplitPart] = field(default_factory=list)
-
-
 def _subgraph(parent: pg.PlaneDigraph, arc_ids: list[int]) -> SplitPart:
     keep = sorted(arc_ids)
     verts = sorted({w for a in keep for w in parent.arcs[a]})
@@ -320,85 +284,37 @@ def _subgraph(parent: pg.PlaneDigraph, arc_ids: list[int]) -> SplitPart:
     )
 
 
-def split_loops(D: pg.PlaneDigraph) -> SplitRecipe:
+def split_loops(D: pg.PlaneDigraph) -> list[SplitPart]:
     """Split a plane DAG-with-loops into loopless plane DAG parts.
 
-    Each loop is removed and the arcs strictly inside / outside of it form
-    independent subinstances sharing only the loop vertex.  At most
-    ``m`` parts result; the parent's optimum is the sum of part optima.
+    Loops at one vertex never interleave in its rotation (they would
+    cross), so one stack walk of each rotation tags every non-loop arc end
+    with its sector: the innermost loop around it, or none.  Arcs whose
+    ends share a sector lie in one part, and each part is built once,
+    ordered by its least arc id.  The parts share only loop vertices,
+    and the parent's optimum is the sum of part optima.  A loopless graph
+    is its own single part; loops alone leave none (they are strong).
     """
-    recipe = SplitRecipe(parent=D)
-
-    def rec(part: SplitPart) -> None:
-        g = part.graph
-        loop = next(
-            (a for a, (u, v) in enumerate(g.arcs) if u == v), None
-        )
-        if loop is None:
-            if g.m > 0 or g.n == 1:
-                recipe.parts.append(part)
-            return
-        u = g.arcs[loop][0]
-        ring = g.rotation[u]
-        t, h = pg.tail_dart(loop), pg.head_dart(loop)
-        ti, hi = ring.index(t), ring.index(h)
-        if ti < hi:
-            side1 = ring[ti + 1 : hi]
-            side2 = ring[hi + 1 :] + ring[:ti]
-        else:
-            side1 = ring[ti + 1 :] + ring[:hi]
-            side2 = ring[hi + 1 : ti]
-        # component-close each side over the loopless remainder
-        adj_ends: dict[int, list[int]] = {}
-        for v in range(g.n):
-            for d in g.rotation[v]:
-                if d >> 1 != loop:
-                    adj_ends.setdefault(v, []).append(d)
-        for label, seed in ((0, side1), (1, side2)):
-            seen_arcs: set[int] = set()
-            stack = [d >> 1 for d in seed]
-            seen_arcs.update(stack)
-            frontier = list(stack)
-            while frontier:
-                a = frontier.pop()
-                for w in g.arcs[a]:
-                    if w == u:
-                        continue  # do not cross the loop vertex
-                    for d in adj_ends.get(w, ()):  # all arcs at w
-                        if (d >> 1) not in seen_arcs:
-                            seen_arcs.add(d >> 1)
-                            frontier.append(d >> 1)
-            if seen_arcs:
-                sub = _subgraph(g, sorted(seen_arcs))
-                rec(
-                    SplitPart(
-                        graph=sub.graph,
-                        vertex_back=tuple(
-                            part.vertex_back[v] for v in sub.vertex_back
-                        ),
-                        arc_back=tuple(
-                            part.arc_back[a] for a in sub.arc_back
-                        ),
-                    )
-                )
+    if all(u != v for u, v in D.arcs):
+        return [SplitPart(D, tuple(range(D.n)), tuple(range(D.m)))]
+    group = list(range(D.m))
+    for ring in D.rotation:
+        open_loops = [-1]
+        first: dict[int, int] = {}      # sector -> an arc with an end in it
+        for d in ring:
+            a = d >> 1
+            u, v = D.arcs[a]
+            if u == v:
+                if open_loops[-1] == a:
+                    open_loops.pop()
+                else:
+                    open_loops.append(a)
+            elif open_loops[-1] in first:
+                group[_find(group, a)] = _find(group, first[open_loops[-1]])
             else:
-                # empty interior: a single-vertex part of cost zero
-                empty = pg.build(1, [], [()], mode=pg.MODE_MULTI)
-                recipe.parts.append(
-                    SplitPart(
-                        graph=empty,
-                        vertex_back=(part.vertex_back[u],),
-                        arc_back=(),
-                    )
-                )
-
-    root = SplitPart(
-        graph=D,
-        vertex_back=tuple(range(D.n)),
-        arc_back=tuple(range(D.m)),
-    )
-    if any(u == v for u, v in D.arcs):
-        rec(root)
-    else:
-        recipe.parts.append(root)
-    return recipe
+                first[open_loops[-1]] = a
+    members: dict[int, list[int]] = {}
+    for a, (u, v) in enumerate(D.arcs):
+        if u != v:
+            members.setdefault(_find(group, a), []).append(a)
+    return [_subgraph(D, arcs) for arcs in members.values()]

@@ -276,7 +276,7 @@ def test_directed_joint_branches_match_product_reference(alternating_octagon):
     for n in (7, 8):
         for seed in range(6):
             D = pog_io.gen_random(n, n + 1 + seed % 3, seed)
-            for p in sc.split_loops(sc.condense(D).condensed).parts:
+            for p in sc.split_loops(sc.condense(D).condensed):
                 cases += [(p.graph, k) for k in (1, 2, 3)]
     multi_face = 0
     for part, k in cases:

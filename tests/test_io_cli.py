@@ -3,6 +3,7 @@ import json
 import pytest
 
 from orient_augment import cli
+from orient_augment import hardness as hg
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
@@ -24,7 +25,8 @@ def test_parse_error_is_line_numbered():
 
 @pytest.mark.parametrize(
     "bad_line, line_no",
-    [("a 1 0 x", 3), ("a z 0 2", 3), ("r q 0+", 4)],
+    [("a 1 0 x", 3), ("a z 0 2", 3), ("r q 0+", 4), ("pog weird 3 2", 1),
+     ("pog oriented 3 -1", 1), ("pog oriented -1 2", 1)],
 )
 def test_non_integer_id_is_typed_parse_error(tmp_path, capsys, bad_line, line_no):
     lines = ["pog oriented 3 2", "a 0 0 1", "a 1 1 2", "r 0 0+", "r 1 0- 1+", "r 2 1-"]
@@ -35,6 +37,26 @@ def test_non_integer_id_is_typed_parse_error(tmp_path, capsys, bad_line, line_no
     f = tmp_path / "bad.pog"
     f.write_text(text)
     assert cli.main(["solve", str(f), "-k", "1"]) == 2
+    assert f"line {line_no}" in capsys.readouterr().err
+
+
+DIMACS_OK = ["p cnf 3 1", "1 -2 -3 0", "rotv 1 1", "rotv 2 1", "rotv 3 1"]
+
+
+@pytest.mark.parametrize(
+    "bad_line, line_no",
+    [("p cnf x 1", 1), ("rotv a 1", 3), ("1 b 3 0", 2), ("1 -2 5 0", 2),
+     ("rotv", 5), ("rotv 9 1", 6), ("rotc 2 1 2 3", 6), ("rotc 1 1 2 9", 6)],
+)
+def test_bad_dimacs_is_typed_parse_error(tmp_path, capsys, bad_line, line_no):
+    lines = DIMACS_OK + [""]
+    lines[line_no - 1] = bad_line
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match=f"line {line_no}"):
+        hg.parse_dimacs(text)
+    f = tmp_path / "bad.cnf"
+    f.write_text(text)
+    assert cli.main(["gen-hard", str(f)]) == 2
     assert f"line {line_no}" in capsys.readouterr().err
 
 

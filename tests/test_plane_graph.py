@@ -98,16 +98,6 @@ def test_insert_digon_rejected(simple_square):
         pg.insert_arcs(D, [(f0[verts.index(1)], f0[verts.index(0)])])
 
 
-def test_insert_roundtrip_restores_faces(simple_square):
-    D = simple_square
-    f0 = D.faces[0]
-    verts = [D.dart_vertex(d) for d in f0]
-    D2 = pg.insert_arcs(D, [(f0[verts.index(2)], f0[verts.index(0)])])
-    D3 = pg.delete_arcs(D2, [D.m])
-    assert D3.arcs == D.arcs
-    assert sorted(map(sorted, D3.faces)) == sorted(map(sorted, D.faces))
-
-
 def test_loop_and_parallel_in_multi_mode(single_arc):
     w = single_arc.faces[0]
     out = pg.insert_arcs(single_arc, [(w[0], w[0])], mode="multi")

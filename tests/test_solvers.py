@@ -46,7 +46,7 @@ def test_brute_guard():
 
 
 def test_solvers_reject_disconnected():
-    D = pg.build(3, [(0, 1)], [(0,), (1,), ()], require_sphere=False)
+    D = pg.build(3, [(0, 1)], [(0,), (1,), ()])
     with pytest.raises(Disconnected):
         sv.solve_oriented(D, 1)
     with pytest.raises(Disconnected):

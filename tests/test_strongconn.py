@@ -2,6 +2,7 @@ import pytest
 
 from orient_augment import enumerate_plane as ep
 from orient_augment import plane_graph as pg
+from orient_augment import pog_io
 from orient_augment import solvers as sv
 from orient_augment import strongconn as sc
 
@@ -48,16 +49,15 @@ def test_condense_triangle_with_tail():
 
 
 def test_split_loopless_is_singleton(path3):
-    recipe = sc.split_loops(path3)
-    assert len(recipe.parts) == 1
-    assert recipe.parts[0].graph is path3
+    parts = sc.split_loops(path3)
+    assert len(parts) == 1
+    assert parts[0].graph is path3
 
 
 def test_split_single_loop_vertex():
+    # both sides of the loop are empty, strong and cost 0: no parts
     D = pg.build(1, [(0, 0)], [(0, 1)], mode="multi")
-    recipe = sc.split_loops(D)
-    assert len(recipe.parts) == 2
-    assert all(p.graph.n == 1 and p.graph.m == 0 for p in recipe.parts)
+    assert sc.split_loops(D) == []
 
 
 def test_split_loop_with_inside_and_outside():
@@ -68,9 +68,9 @@ def test_split_loop_with_inside_and_outside():
     D = pg.build(
         5, arcs, [rot0, (5, 2), (3, 6), (11, 8), (9, 12)], mode="multi"
     )
-    recipe = sc.split_loops(D)
-    assert len(recipe.parts) == 2
-    vertex_sets = sorted(sorted(p.vertex_back) for p in recipe.parts)
+    parts = sc.split_loops(D)
+    assert len(parts) == 2
+    vertex_sets = sorted(sorted(p.vertex_back) for p in parts)
     assert vertex_sets == [[0, 1, 2], [0, 3, 4]]
 
 
@@ -112,11 +112,11 @@ def test_split_conserves_arcs_and_shares_only_loop_vertices():
     D = pg.build(
         5, arcs, [rot0, (5, 2), (3, 6), (11, 8), (9, 12)], mode="multi"
     )
-    recipe = sc.split_loops(D)
+    parts = sc.split_loops(D)
     n_loops = sum(1 for u, v in D.arcs if u == v)
-    assert sum(p.graph.m for p in recipe.parts) == D.m - n_loops
-    for i, a in enumerate(recipe.parts):
-        for b in recipe.parts[i + 1 :]:
+    assert sum(p.graph.m for p in parts) == D.m - n_loops
+    for i, a in enumerate(parts):
+        for b in parts[i + 1 :]:
             shared = set(a.vertex_back) & set(b.vertex_back)
             assert shared <= {0}  # only the loop vertex
 
@@ -143,8 +143,6 @@ def terminal_sides_reference(n, arcs):
 
 
 def test_terminal_sides_matches_naive_closure():
-    from orient_augment import pog_io
-
     graphs = list(ep.oriented_corpus(5))
     for n in range(3, 17):
         for seed in range(4):
@@ -162,3 +160,111 @@ def test_terminal_sides_matches_naive_closure():
 def test_terminal_sides_strong(triangle):
     assert sc.terminal_sides(triangle.n, triangle.arcs) == ([], [])
     assert sc.terminal_sides(1, []) == ([], [])
+
+
+def _condense_cases():
+    graphs = list(ep.oriented_corpus(5))[::3]
+    for n in range(6, 28):
+        for seed in range(3):
+            m = n - 1 + (seed + 1) * (2 * n - 5) // 4
+            for mode in ("oriented", "directed"):
+                graphs.append(pog_io.gen_random(n, m, seed, mode=mode))
+    return graphs
+
+
+def _canonical_walk(walk):
+    i = walk.index(min(walk))
+    return tuple(walk[i:] + walk[:i])
+
+
+def test_condense_keeps_faces():
+    contracted = 0
+    for D in _condense_cases():
+        res = sc.condense(D)
+        C = res.condensed
+        assert C.f == D.f
+        expected = sorted(
+            _canonical_walk([
+                2 * res.arc_map[d >> 1] + (d & 1)
+                for d in walk if (d >> 1) in res.arc_map
+            ])
+            for walk in D.faces
+        )
+        assert expected == sorted(_canonical_walk(list(w)) for w in C.faces)
+        assert len(res.arc_map) + len(res.contraction_log) == D.m
+        contracted += bool(res.contraction_log)
+    assert contracted > 100
+
+
+def test_split_optimum_is_sum_of_part_optima():
+    cases = 0
+    several = 0
+    for n in range(5, 12):
+        for seed in range(12):
+            for mode in ("oriented", "directed"):
+                m = n - 1 + seed % (2 * n - 4)
+                D = pog_io.gen_random(n, m, seed, mode=mode)
+                C = sc.condense(D).condensed
+                if C.n > 10 or all(u != v for u, v in C.arcs):
+                    continue
+                whole = sv.brute_solve(C, 3, mode="directed")
+                parts = [
+                    sv.brute_solve(p.graph, 3, mode="directed")
+                    for p in sc.split_loops(C)
+                ]
+                total = sum(p.optimum for p in parts if p.verdict)
+                if whole.verdict:
+                    assert all(p.verdict for p in parts)
+                    assert total == whole.optimum
+                else:
+                    assert not all(p.verdict for p in parts) or total > 3
+                cases += 1
+                several += len(parts) > 1
+    assert cases > 100 and several > 40
+
+
+def test_split_sectors_nested_and_side_by_side():
+    # vertex 0: loop 0 encloses loop 1 (around arc 2) and the path
+    # 0->2->3 <-0; loop 6 beside it encloses arc 7; arcs 8 and 12 lie
+    # outside every loop, before and after them in the rotation.  Vertex 5:
+    # loop 9 encloses arc 10, arcs 8 and 11 lie outside it.
+    arcs = [(0, 0), (0, 0), (0, 1), (0, 2), (0, 3), (2, 3), (0, 0),
+            (0, 4), (0, 5), (5, 5), (5, 6), (7, 5), (0, 8)]
+    rotation = [
+        (16, 0, 2, 4, 3, 6, 8, 1, 12, 14, 13, 24),
+        (5,), (7, 10), (9, 11), (15,), (17, 18, 20, 19, 23), (21,), (22,),
+        (25,),
+    ]
+    D = pg.build(9, arcs, rotation, mode="multi")
+    parts = sc.split_loops(D)
+    assert [p.arc_back for p in parts] == [
+        (2,), (3, 4, 5), (7,), (8, 11, 12), (10,)
+    ]
+    assert [p.vertex_back for p in parts] == [
+        (0, 1), (0, 2, 3), (0, 4), (0, 5, 7, 8), (5, 6)
+    ]
+    for p in parts:
+        assert p.graph.m == len(p.arc_back)
+        assert p.graph.euler_characteristic() == 2
+
+
+def test_split_builds_each_part_once(monkeypatch):
+    # 50 loops side by side at vertex 0, each around one pendant arc
+    arcs, ring = [], []
+    for i in range(50):
+        loop, spoke = len(arcs), len(arcs) + 1
+        arcs += [(0, 0), (0, i + 1)]
+        ring += [2 * loop, 2 * spoke, 2 * loop + 1]
+    rotation = [tuple(ring)] + [(4 * i + 3,) for i in range(50)]
+    D = pg.build(51, arcs, rotation, mode="multi")
+    calls = []
+    build = pg.build
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pg, "build", counted)
+    parts = sc.split_loops(D)
+    assert len(parts) == len(calls) == 50
+    assert [p.arc_back for p in parts] == [(2 * i + 1,) for i in range(50)]
