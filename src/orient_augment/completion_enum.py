@@ -15,7 +15,7 @@ from . import face_analysis as fa
 from . import plane_graph as pg
 from . import supports as sp
 from .errors import NotSimpleFace
-from .strongconn import scc
+from .strongconn import SccPartition, scc
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,11 @@ def is_supported(
 
 
 def supported_completions(
-    D: pg.PlaneDigraph, face: int, budget: int, minimal_only: bool = False
+    D: pg.PlaneDigraph,
+    face: int,
+    budget: int,
+    minimal_only: bool = False,
+    bounded: bool = False,
 ) -> Iterator[pg.Completion]:
     """Every supported completion of the face with at most ``budget`` arcs,
     the empty one first.  Emitted completions embed crossing-free and keep
@@ -104,8 +108,11 @@ def supported_completions(
     With ``minimal_only``, only completions a minimum solution could
     restrict to: no arc whose head its tail already reaches (reroute via
     the existing dipath), no two arcs between one strong-component pair.
-    Both rules reject every superset of a rejected set, so they prune the
-    recursion exactly and the survivors keep their order."""
+    With ``bounded``, ``budget`` caps a whole solution, not just this
+    face: an arc set whose Eswaran-Tarjan floor
+    (``SccPartition.solution_floor``) exceeds it is dropped.  Each rule
+    rejects every superset of a rejected set, so they prune the recursion
+    exactly and the survivors keep their order."""
     yield pg.EMPTY_COMPLETION
     if budget <= 0:
         return
@@ -128,11 +135,12 @@ def supported_completions(
             if u == v or D.underlying_adjacent(u, v):
                 continue
             cands.append((i, j, u, v))
+    part = scc(D)
     # a completion holds at most one arc per unordered vertex pair (no
     # parallel or digon); with minimal_only, per strong-component pair
     label: Sequence[int] = range(D.n)
     if minimal_only:
-        label = scc(D).component
+        label = part.component
         reach = _reachability(D)
         cands = [c for c in cands if not (reach[c[2]] >> c[3]) & 1]
     pair_of = [frozenset((label[u], label[v])) for (_, _, u, v) in cands]
@@ -164,6 +172,11 @@ def supported_completions(
             ):
                 continue
             chosen.append(cands[idx])
+            if bounded and part.solution_floor(
+                [(u, v) for (_, _, u, v) in chosen]
+            ) > budget:
+                chosen.pop()
+                continue
             used_pairs.add(pair)
             if check_supported():
                 yield D.completion_from_darts(
@@ -227,25 +240,28 @@ def alternating_branches(
 ) -> Iterator[tuple[pg.Completion, ...]]:
     """Every way to pick one supported completion per alternating face, at
     most ``k`` arcs in total, pairwise compatible (no digon or parallel
-    across faces).  With ``minimal_only`` the per-face lists are pruned to
-    completions a minimum solution could restrict to, which loses no
-    optimum."""
+    across faces).  With ``minimal_only`` the branches are pruned to those
+    a minimum solution of at most ``k`` arcs could restrict to, which
+    loses no such solution: per face by the rules of
+    ``supported_completions(minimal_only=True, bounded=True)``, and
+    jointly by one arc per strong-component pair and the Eswaran-Tarjan
+    floor of the joint arc set."""
     faces = fa.alternating_faces(D)
     per_face = [
-        list(supported_completions(D, f, k, minimal_only=minimal_only))
+        list(supported_completions(
+            D, f, k, minimal_only=minimal_only, bounded=minimal_only
+        ))
         for f in faces
     ]
-    comp_of = scc(D).component
+    part = scc(D)
+    comp_of = part.component
 
-    def legal(chosen: list[pg.Completion], cand: pg.Completion) -> bool:
-        pairs = set()
+    def legal(ends: list[tuple[int, int]], cand: pg.Completion) -> bool:
+        pairs = set(ends)
         comp_pairs = set()
-        for c in chosen:
-            for a in c.arcs:
-                u, v = a.ends
-                pairs.add((u, v))
-                cu, cv = comp_of[u], comp_of[v]
-                comp_pairs.add((cu, cv) if cu <= cv else (cv, cu))
+        for u, v in ends:
+            cu, cv = comp_of[u], comp_of[v]
+            comp_pairs.add((cu, cv) if cu <= cv else (cv, cu))
         for a in cand.arcs:
             u, v = a.ends
             if (u, v) in pairs or (v, u) in pairs:
@@ -256,30 +272,41 @@ def alternating_branches(
                     return False
         return True
 
-    yield from _joint_branches(per_face, k, legal)
+    yield from _joint_branches(
+        per_face, k, legal, part if minimal_only else None
+    )
 
 
 def _joint_branches(
     per_face: list[list[pg.Completion]],
     k: int,
-    legal: Callable[[list[pg.Completion], pg.Completion], bool],
+    legal: Callable[[list[tuple[int, int]], pg.Completion], bool],
+    part: Optional[SccPartition],
 ) -> Iterator[tuple[pg.Completion, ...]]:
     """One completion per face in face order, at most ``k`` arcs in total,
-    each non-empty pick ``legal`` next to the picks before it."""
+    each non-empty pick ``legal`` next to the vertex pairs of the picks
+    before it.  With ``part`` (the host's strong components), a choice
+    whose Eswaran-Tarjan floor exceeds ``k`` is dropped, and with it every
+    extension of it."""
     chosen: list[pg.Completion] = []
+    ends: list[tuple[int, int]] = []
 
     def rec(i: int, budget: int) -> Iterator[tuple[pg.Completion, ...]]:
+        if part is not None and part.solution_floor(ends) > k:
+            return
         if i == len(per_face):
             yield tuple(chosen)
             return
         for comp in per_face[i]:
             if len(comp) > budget:
                 continue
-            if comp.arcs and not legal(chosen, comp):
+            if comp.arcs and not legal(ends, comp):
                 continue
             chosen.append(comp)
+            ends.extend(a.ends for a in comp.arcs)
             yield from rec(i + 1, budget - len(comp))
             chosen.pop()
+            del ends[len(ends) - len(comp.arcs):]
 
     yield from rec(0, k)
 
@@ -310,12 +337,15 @@ def _reachability(D: pg.PlaneDigraph) -> list[int]:
 
 
 def directed_supported_completions(
-    D: pg.PlaneDigraph, face: int, budget: int
+    D: pg.PlaneDigraph, face: int, budget: int, bounded: bool = False
 ) -> list[pg.Completion]:
     """Completions of an acyclic-mode face attaching only to local terminal
     angles: non-crossing arc sets, digons with existing arcs allowed,
     parallels excluded, and arcs whose head is already reachable from their
-    tail dropped (a minimum solution never contains one).
+    tail dropped (a minimum solution never contains one).  With
+    ``bounded``, ``budget`` caps a whole solution and arc sets whose
+    Eswaran-Tarjan floor exceeds it are pruned with their supersets, as in
+    ``supported_completions``.
 
     A face with two local terminals admits exactly one non-empty such
     completion: the arc from its sink angle to its source angle.
@@ -325,6 +355,7 @@ def directed_supported_completions(
     walk = D.faces[face]
     r = len(walk)
     reach = _reachability(D)
+    part = scc(D)
     cands = []
     for i in positions:
         for j in positions:
@@ -355,6 +386,11 @@ def directed_supported_completions(
             if not ok:
                 continue
             chosen.append(cands[idx])
+            if bounded and part.solution_floor(
+                [(x, y) for (_, _, x, y) in chosen]
+            ) > budget:
+                chosen.pop()
+                continue
             out.append(D.completion_from_darts(
                 [(walk[a], walk[b]) for (a, b, _, _) in chosen]
             ))
@@ -371,11 +407,14 @@ def directed_joint_branches(
     D: pg.PlaneDigraph, faces: list[int], k: int
 ) -> Iterator[tuple[pg.Completion, ...]]:
     """Joint choice of a digon-allowed completion per face, total size at
-    most ``k``, pairwise parallel-free."""
-    per_face = [directed_supported_completions(D, f, k) for f in faces]
+    most ``k``, pairwise parallel-free, pruned per face and jointly by the
+    Eswaran-Tarjan floor against ``k``."""
+    per_face = [
+        directed_supported_completions(D, f, k, bounded=True) for f in faces
+    ]
 
-    def legal(chosen: list[pg.Completion], cand: pg.Completion) -> bool:
-        pairs = {a.ends for c in chosen for a in c.arcs}
+    def legal(ends: list[tuple[int, int]], cand: pg.Completion) -> bool:
+        pairs = set(ends)
         return all(a.ends not in pairs for a in cand.arcs)
 
-    yield from _joint_branches(per_face, k, legal)
+    yield from _joint_branches(per_face, k, legal, scc(D))

@@ -64,6 +64,11 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
                 raise ParseError(f"line {ln}: non-integer id: {exc}") from exc
             if not 0 <= a < m or arcs[a] is not None:
                 raise ParseError(f"line {ln}: bad or repeated arc id {a}")
+            for col, x in ((3, u), (4, v)):
+                if not 0 <= x < n:
+                    raise ParseError(
+                        f"line {ln}, field {col}: vertex {x} not in 0..{n - 1}"
+                    )
             arcs[a] = (u, v)
         elif parts[0] == "r":
             try:
@@ -80,6 +85,10 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
                     a = int(tok[:-1])
                 except ValueError as exc:
                     raise ParseError(f"line {ln}: bad end token {tok!r}") from exc
+                if not 0 <= a < m:
+                    raise ParseError(
+                        f"line {ln}, field {col}: arc {a} not in 0..{m - 1}"
+                    )
                 d = 2 * a + (0 if tok[-1] == "+" else 1)
                 if d in seen_ends:
                     raise ParseError(

@@ -342,12 +342,23 @@ def _memo(D: pg.PlaneDigraph, mode: str) -> _Memo:
     return D._analysis_cache.setdefault(("memo", mode), _Memo())
 
 
-def _hopeless(D: pg.PlaneDigraph, k: int) -> bool:
-    """Quick filters: a graph that budget ``k`` can make strong has at
-    most ``2k`` terminal components, and its alternating faces carry fewer
-    than ``8k`` local terminals in total."""
-    return (sc.scc(D).terminal_count > 2 * k
-            or fa.alternating_terminal_sum(D) >= 8 * k)
+def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
+    """The budgets at which a minimum solution of ``D`` may lie, smallest
+    first.  From below: the Eswaran-Tarjan floor max(#source, #sink), and
+    more than an eighth of the local terminals of the alternating faces
+    (a budget-``b`` solution leaves fewer than ``8b``).  From above: ``k``,
+    and the room planarity leaves, since ``D`` plus a solution spans at
+    most 3n - 6 vertex pairs (n - 1 when n < 3), each joined once in
+    oriented mode and at most once per direction in directed mode."""
+    low = max(sc.scc(D).solution_floor(),
+              fa.alternating_terminal_sum(D) // 8 + 1)
+    pairs = 3 * D.n - 6 if D.n >= 3 else D.n - 1
+    ordered, unordered = D.adjacency()
+    if arc_mode == pg.MODE_ORIENTED:
+        room = pairs - sum(u != v for u, v in unordered)
+    else:
+        room = 2 * pairs - sum(u != v for u, v in ordered)
+    return range(low, min(k, room) + 1)
 
 
 class _Branch(NamedTuple):
@@ -461,50 +472,53 @@ def _simple_montecarlo(
 
 def _branch_loop(
     D: pg.PlaneDigraph,
-    branches: Iterable[tuple[pg.Completion, ...]],
-    cands: dict[int, list[pg.Completion]],
+    branches: Callable[[int], Iterable[tuple[pg.Completion, ...]]],
+    candidates: Callable[[int], list[pg.Completion]],
     k: int,
     arc_mode: str,
     complete: Callable[..., Optional[pg.Completion]],
     stats: SolveStats,
 ) -> Optional[list[tuple[int, int]]]:
-    """Minimum augmentation within budget ``k``, as dart pairs, or None.
+    """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
+    dart pairs, or None.
 
-    Each branch picks one completion per alternating face; branches are
-    tried smallest first, so the first one no smaller than the best found
-    ends the loop.  A branch that is not yet strong is handed with its
-    remaining budget to ``complete(D, branch, simple, budget, stats)``,
-    which resolves it in the simple faces from their candidate lists
-    ``cands``.  ``arc_mode`` says which pairs a branch blocks: adjacent
-    ones in oriented mode, existing arcs in directed mode."""
-    simple = [(f, cands[f]) for f in sorted(cands) if cands[f]]
-    best: Optional[list[tuple[int, int]]] = None
-    for parts in sorted(branches, key=lambda ps: sum(len(c) for c in ps)):
-        stats.branches += 1
-        size = sum(len(c) for c in parts)
-        if best is not None and size >= len(best):
-            break
-        arcs = [a for c in parts for a in c.arcs]
-        pairs = [(a.tail.dart, a.head.dart) for a in arcs]
-        ends = [a.ends for a in arcs]
-        sources, sinks = sc.terminal_sides(D.n, list(D.arcs) + ends)
-        if not sources:
-            best = pairs
-            continue
-        floor = max(len(sources), len(sinks))
-        budget = (k if best is None else len(best) - 1) - size
-        if budget < floor or not simple:
-            continue
-        blocked = set(D.arcs).union(ends)
-        if arc_mode == pg.MODE_ORIENTED:
-            blocked |= {(v, u) for u, v in blocked}
-        found = complete(
-            D, _Branch(ends, blocked, sources, sinks, floor), simple, budget,
-            stats,
-        )
-        if found is not None:
-            best = pairs + [(a.tail.dart, a.head.dart) for a in found.arcs]
-    return best
+    Iterative deepening on the total size: for ``b`` over ``_levels``,
+    the branches of at most ``b`` arcs, ``branches(b)``
+    (one completion per alternating face, pruned against ``b``), are tried
+    smallest first, and the first one that completes within ``b`` is the
+    answer: every smaller budget answered no, so it is minimum.  A branch
+    that is not yet strong is handed with its remaining budget to
+    ``complete(D, branch, simple, budget, stats)``, which resolves it in
+    the simple faces from their lists ``candidates(face)``.  ``arc_mode``
+    says which pairs a branch blocks: adjacent ones in oriented mode,
+    existing arcs in directed mode."""
+    levels = _levels(D, k, arc_mode)
+    if not levels:
+        return None
+    simple = [(f, cs) for f in fa.simple_faces(D) if (cs := candidates(f))]
+    for b in levels:
+        for parts in sorted(branches(b), key=lambda ps: sum(map(len, ps))):
+            stats.branches += 1
+            size = sum(map(len, parts))
+            arcs = [a for c in parts for a in c.arcs]
+            pairs = [(a.tail.dart, a.head.dart) for a in arcs]
+            ends = [a.ends for a in arcs]
+            sources, sinks = sc.terminal_sides(D.n, list(D.arcs) + ends)
+            if not sources:
+                return pairs
+            floor = max(len(sources), len(sinks))
+            if b - size < floor or not simple:
+                continue
+            blocked = set(D.arcs).union(ends)
+            if arc_mode == pg.MODE_ORIENTED:
+                blocked |= {(v, u) for u, v in blocked}
+            found = complete(
+                D, _Branch(ends, blocked, sources, sinks, floor), simple,
+                b - size, stats,
+            )
+            if found is not None:
+                return pairs + [(a.tail.dart, a.head.dart) for a in found.arcs]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +535,15 @@ def solve_oriented(
 ) -> SolveReport:
     """Minimum oriented augmentation within budget ``k``.
 
-    Branches over all supported completions of the alternating faces; the
-    remainder lives in the instance's simple faces and is resolved through
-    the candidate-arc dijoin reduction, either exhaustively over candidate
-    assignments (exact) or by uniform random assignment per trial
-    (``method="montecarlo"``: a yes is always certified, a no may err).
+    Deepens the budget ``b`` from the Eswaran-Tarjan floor to ``k`` and
+    stops at the first ``b`` that answers yes, so a large ``k`` costs what
+    the optimum costs.  At each ``b`` it branches over the supported
+    completions of the alternating faces whose Eswaran-Tarjan floor is
+    at most ``b``; the remainder lives in the instance's simple faces and
+    is resolved through the candidate-arc dijoin reduction, either
+    exhaustively over candidate assignments (exact) or by uniform random
+    assignment per trial (``method="montecarlo"``: a yes is always
+    certified, a no may err).
     """
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
@@ -539,28 +557,26 @@ def solve_oriented(
     known, witness = memo.lookup(k) if exact else (False, None)
     if known:
         return _report(pg.MODE_ORIENTED, k, stats, witness)
-    best = None
     sampled = False
-    if not _hopeless(D, k):
-        cands = {f: ce.simple_face_candidates(D, f) for f in fa.simple_faces(D)}
-        if exact:
-            complete = _simple_exhaustive
-        else:
-            trials = default_trials(k) if trials is None else trials
-            rng = random.Random(seed)
+    if exact:
+        complete = _simple_exhaustive
+    else:
+        trials = default_trials(k) if trials is None else trials
+        rng = random.Random(seed)
 
-            def complete(D, branch, simple, budget, stats):
-                nonlocal sampled
-                found, walked = _simple_montecarlo(
-                    D, branch, simple, budget, stats, trials, rng
-                )
-                sampled = sampled or not walked
-                return found
+        def complete(D, branch, simple, budget, stats):
+            nonlocal sampled
+            found, walked = _simple_montecarlo(
+                D, branch, simple, budget, stats, trials, rng
+            )
+            sampled = sampled or not walked
+            return found
 
-        best = _branch_loop(
-            D, ce.alternating_branches(D, k, minimal_only=True), cands, k,
-            pg.MODE_ORIENTED, complete, stats,
-        )
+    best = _branch_loop(
+        D, lambda b: ce.alternating_branches(D, b, minimal_only=True),
+        lambda f: ce.simple_face_candidates(D, f), k, pg.MODE_ORIENTED,
+        complete, stats,
+    )
     if best is not None:
         witness = D.completion_from_darts(best)
         ok, diag = verify_solution(D, witness, pg.MODE_ORIENTED)
@@ -590,16 +606,13 @@ def _solve_directed_part(
     or None when it exceeds ``kmax``."""
     if sc.is_strong(part):
         return []
-    if _hopeless(part, kmax):
-        return None
-    cands = {
-        f: [c for c in ce.directed_supported_completions(part, f, 1) if c.arcs]
-        for f in fa.simple_faces(part)
-    }
-    branches = ce.directed_joint_branches(part, fa.alternating_faces(part), kmax)
+    faces = fa.alternating_faces(part)
     return _branch_loop(
-        part, branches, cands, kmax, pg.MODE_DIRECTED, _simple_exhaustive,
-        stats,
+        part, lambda b: ce.directed_joint_branches(part, faces, b),
+        lambda f: [
+            c for c in ce.directed_supported_completions(part, f, 1) if c.arcs
+        ],
+        kmax, pg.MODE_DIRECTED, _simple_exhaustive, stats,
     )
 
 

@@ -40,6 +40,22 @@ class SccPartition:
     def is_strong(self) -> bool:
         return len(self.members) <= 1
 
+    def solution_floor(self, ends=()) -> int:
+        """Eswaran-Tarjan bound: no solution containing the arcs ``ends``
+        (vertex pairs) has fewer arcs than this.  Every source component
+        needs a solution arc entering it, every sink one leaving it, and
+        one arc serves at most one of each; so the bound is ``len(ends)``
+        plus the larger count of sources no arc of ``ends`` enters and
+        sinks none leaves.  One more arc raises it by 0 or 1, so a set
+        over a budget has every superset over it too."""
+        comp = self.component
+        entered = {comp[v] for u, v in ends if comp[u] != comp[v]}
+        left = {comp[u] for u, v in ends if comp[u] != comp[v]}
+        return len(ends) + max(
+            len(self.sources) - len(entered.intersection(self.sources)),
+            len(self.sinks) - len(left.intersection(self.sinks)),
+        )
+
 
 def scc_of_arcs(n: int, arcs) -> list[int]:
     """Iterative Tarjan; returns component id per vertex.  Ids are numbered

@@ -194,6 +194,25 @@ def posthoc_minimal(D, comps):
     return out
 
 
+def floor_reference(D):
+    """Eswaran-Tarjan floor of D plus a list of arcs, from the naive
+    closure: the arcs' count plus the larger count of D's source
+    components none of them enters and sink components none leaves."""
+    reach = closure_reference(D)
+    comps = {
+        frozenset(w for w in range(D.n) if (reach[v] >> w) & (reach[w] >> v) & 1)
+        for v in range(D.n)
+    }
+    enters = lambda C, arcs: any(v in C and u not in C for u, v in arcs)
+    leaves = lambda C, arcs: any(u in C and v not in C for u, v in arcs)
+    sources = [C for C in comps if len(comps) > 1 and not enters(C, D.arcs)]
+    sinks = [C for C in comps if len(comps) > 1 and not leaves(C, D.arcs)]
+    return lambda arcs: len(arcs) + max(
+        sum(not enters(C, arcs) for C in sources),
+        sum(not leaves(C, arcs) for C in sinks),
+    )
+
+
 def simple_candidates_reference(D, f):
     kept = posthoc_minimal(
         D, [c for c in ce.supported_completions(D, f, 3) if c.arcs]
@@ -209,11 +228,12 @@ def alternating_branches_reference(D, k):
         for f in fa.alternating_faces(D)
     ]
     comp = sc.scc(D).component
+    floor = floor_reference(D)
     out = []
     for choice in itertools.product(*per_face):
         arcs = [a.ends for c in choice for a in c.arcs]
         pairs = [frozenset((comp[u], comp[v])) for (u, v) in arcs]
-        if len(arcs) <= k and len(set(pairs)) == len(pairs):
+        if len(arcs) <= k and len(set(pairs)) == len(pairs) and floor(arcs) <= k:
             out.append(choice)
     return out
 
@@ -258,23 +278,26 @@ def test_reachability_matches_naive_closure():
 
 
 def joint_branches_reference(D, faces, k):
-    """Every product of per-face completions with at most k arcs in total
-    and no two equal arcs, in product order."""
+    """Every product of per-face completions with at most k arcs in total,
+    no two equal arcs and an Eswaran-Tarjan floor of at most k, in product
+    order."""
     per_face = [ce.directed_supported_completions(D, f, k) for f in faces]
+    floor = floor_reference(D)
     out = []
     for combo in itertools.product(*per_face):
         ends = [a.ends for c in combo for a in c.arcs]
-        if len(ends) <= k and len(set(ends)) == len(ends):
+        if len(ends) <= k and len(set(ends)) == len(ends) and floor(ends) <= k:
             out.append(combo)
     return out
 
 
 def test_directed_joint_branches_match_product_reference(alternating_octagon):
     # the octagon's two faces hold 897 completions each at k = 2, so its
-    # product is only walked at k = 1
+    # product is only walked at k = 1 (where its floor of 4 prunes it all);
+    # twelve seeds give five parts with two faces and several branches
     cases = [(alternating_octagon, 1)]
     for n in (7, 8):
-        for seed in range(6):
+        for seed in range(12):
             D = pog_io.gen_random(n, n + 1 + seed % 3, seed)
             for p in sc.split_loops(sc.condense(D).condensed):
                 cases += [(p.graph, k) for k in (1, 2, 3)]
@@ -285,3 +308,29 @@ def test_directed_joint_branches_match_product_reference(alternating_octagon):
         assert got == joint_branches_reference(part, faces, k)
         multi_face += len(faces) >= 2 and len(got) > 1
     assert multi_face >= 4
+
+
+def test_bounded_per_face_lists_match_filter():
+    # the per-face bound drops exactly the non-empty arc sets over the
+    # floor, keeping the order; the empty completion always comes first
+    checked = 0
+    for D in sample_graphs():
+        floor = floor_reference(D)
+        for f in fa.alternating_faces(D):
+            for k in (1, 2, 3):
+                got = list(ce.supported_completions(
+                    D, f, k, minimal_only=True, bounded=True
+                ))
+                want = [
+                    c for c in ce.supported_completions(D, f, k, minimal_only=True)
+                    if not c.arcs or floor([a.ends for a in c.arcs]) <= k
+                ]
+                assert list(map(arcs_of, got)) == list(map(arcs_of, want))
+                got = ce.directed_supported_completions(D, f, k, bounded=True)
+                want = [
+                    c for c in ce.directed_supported_completions(D, f, k)
+                    if not c.arcs or floor([a.ends for a in c.arcs]) <= k
+                ]
+                assert list(map(arcs_of, got)) == list(map(arcs_of, want))
+                checked += len(want) > 1
+    assert checked > 20

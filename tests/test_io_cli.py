@@ -40,6 +40,24 @@ def test_non_integer_id_is_typed_parse_error(tmp_path, capsys, bad_line, line_no
     assert f"line {line_no}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_line, line_no, field",
+    [("a 0 0 9", 2, 4), ("a 1 -1 2", 3, 3), ("r 1 5-", 5, 3),
+     ("r 1 0- 2+", 5, 4), ("r 0 -1+", 4, 3)],
+)
+def test_out_of_range_id_is_typed_parse_error(tmp_path, capsys, bad_line,
+                                              line_no, field):
+    lines = ["pog oriented 3 2", "a 0 0 1", "a 1 1 2", "r 0 0+", "r 1 0- 1+", "r 2 1-"]
+    lines[line_no - 1] = bad_line
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match=f"line {line_no}, field {field}: "):
+        pog_io.parse_pog(text)
+    f = tmp_path / "bad.pog"
+    f.write_text(text)
+    assert cli.main(["solve", str(f), "-k", "1"]) == 2
+    assert f"line {line_no}, field {field}" in capsys.readouterr().err
+
+
 DIMACS_OK = ["p cnf 3 1", "1 -2 -3 0", "rotv 1 1", "rotv 2 1", "rotv 3 1"]
 
 

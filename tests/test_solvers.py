@@ -208,3 +208,23 @@ def test_condensation_contrast():
     cond = sc.condense(D).condensed
     assert not sv.brute_solve(cond, 3).verdict
     assert sv.solve_directed(D, 3).optimum == 1
+
+
+@pytest.mark.parametrize("solve", [sv.solve_oriented, sv.solve_directed])
+def test_large_budget_costs_what_the_optimum_costs(alternating_octagon, solve):
+    # iterative deepening stops at the optimum, so raising k past it adds
+    # no branch; each solve gets a fresh graph (no reused outcomes)
+    at_opt = solve(alternating_octagon, 4)
+    at_large = solve(fresh(alternating_octagon), 100)
+    assert at_opt.optimum == at_large.optimum == 4
+    assert at_opt.stats.branches == at_large.stats.branches > 0
+
+
+@pytest.mark.parametrize("n, m, seed", [(10, 9, 375), (12, 14, 2)])
+@pytest.mark.parametrize("solve", [sv.solve_oriented, sv.solve_directed])
+def test_sparse_no_instances_enumerate_no_branch(n, m, seed, solve):
+    # both sparse graphs have more terminal components on one side than
+    # k = 3, so the Eswaran-Tarjan floor answers before any branch
+    rep = solve(pog_io.gen_random(n, m, seed=seed), 3)
+    assert not rep.verdict and rep.optimum is None
+    assert rep.stats.branches == 0
