@@ -120,29 +120,30 @@ def supported_completions(
     ivs = dec.intervals()
     if not ivs:
         return
+    walk = D.faces[face]
+    r = len(walk)
+    vert = [D.dart_vertex(d) for d in walk]
+    nbr = sp.neighbour_masks(D)
+    reach = _reachability(D) if minimal_only else None
+    cands = []
+    for i, u in enumerate(vert):
+        # no loop, no arc beside an existing one, and with minimal_only
+        # no arc whose head its tail already reaches
+        blocked = nbr[u] | 1 << u | (reach[u] if minimal_only else 0)
+        for j, v in enumerate(vert):
+            if not blocked >> v & 1:
+                cands.append((i, j, u, v))
+    if not cands:
+        return
     pool: set[int] = set()
     for iv in ivs:
         pool |= sp.support_pool(D, iv, 2 * budget)
-    walk = D.faces[face]
-    r = len(walk)
-    cands = []
-    for i in sorted(pool):
-        for j in sorted(pool):
-            if i == j:
-                continue
-            u = D.dart_vertex(walk[i])
-            v = D.dart_vertex(walk[j])
-            if u == v or D.underlying_adjacent(u, v):
-                continue
-            cands.append((i, j, u, v))
+    # row-major over positions, as sorted(pool) x sorted(pool) was
+    cands = [c for c in cands if c[0] in pool and c[1] in pool]
     part = scc(D)
     # a completion holds at most one arc per unordered vertex pair (no
     # parallel or digon); with minimal_only, per strong-component pair
-    label: Sequence[int] = range(D.n)
-    if minimal_only:
-        label = part.component
-        reach = _reachability(D)
-        cands = [c for c in cands if not (reach[c[2]] >> c[3]) & 1]
+    label: Sequence[int] = part.component if minimal_only else range(D.n)
     pair_of = [frozenset((label[u], label[v])) for (_, _, u, v) in cands]
     used_pairs: set[frozenset[int]] = set()
     iv_of: dict[int, fa.Interval] = {}

@@ -302,7 +302,12 @@ MC_DELTA = 0.05
 
 
 def default_trials(k: int) -> int:
-    return max(1, math.ceil(PINNED_SIMPLE_CANDIDATE_BOUND ** k * math.log(1 / MC_DELTA)))
+    log_inv_delta = math.log(1 / MC_DELTA)
+    try:
+        return max(1, math.ceil(PINNED_SIMPLE_CANDIDATE_BOUND ** k * log_inv_delta))
+    except OverflowError:  # k >= 109: 700^k is past the float range
+        num, den = log_inv_delta.as_integer_ratio()
+        return -(-PINNED_SIMPLE_CANDIDATE_BOUND ** k * num // den)
 
 
 def _report(mode: str, k: int, stats: SolveStats,

@@ -10,6 +10,12 @@ adjacent to the unique common neighbour of the two angles at the frontier.
 Adjacency is underlying adjacency in the host graph: any existing arc,
 whatever its orientation or embedding, blocks a shift because the shifted
 arc would duplicate it or close a digon.
+
+Both rules look only at a member's last angle, so each interval side is
+grown once: level q + 1 is built from level q, and a higher level extends
+the levels cached per (face, positions in side order).  Adjacency is read
+from one neighbour bitmask per vertex, so a common neighbour is one AND of
+masks and a non-neighbour one bit test.
 """
 
 from __future__ import annotations
@@ -24,16 +30,8 @@ from .face_analysis import Interval
 LEFT = "left"
 RIGHT = "right"
 
-# test hook: number of adjacency queries issued by family construction
+# test hook: neighbour-mask reads and bit tests made by family construction
 ADJACENCY_QUERIES = 0
-
-
-def _adjacent(D: pg.PlaneDigraph, u: int, v: int) -> bool:
-    global ADJACENCY_QUERIES
-    ADJACENCY_QUERIES += 1
-    if u == v:
-        return False
-    return D.underlying_adjacent(u, v)
 
 
 @dataclass(frozen=True)
@@ -47,11 +45,18 @@ class SupportFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def angles(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.members:
-            out |= b
-        return frozenset(out)
+
+def neighbour_masks(D: pg.PlaneDigraph) -> list[int]:
+    """Per vertex, the bitmask of its underlying neighbours, itself
+    excluded."""
+    cached = D._analysis_cache.get("nbr")
+    if cached is None:
+        cached = D._analysis_cache["nbr"] = [0] * D.n
+        for u, v in D.arcs:
+            if u != v:
+                cached[u] |= 1 << v
+                cached[v] |= 1 << u
+    return cached
 
 
 def common_neighbour(
@@ -64,112 +69,115 @@ def common_neighbour(
     structure induced on a face, so that case raises
     ``MultipleCommonNeighbours`` as a bug guard.
     """
+    global ADJACENCY_QUERIES
+    ADJACENCY_QUERIES += 2
     walk = D.faces[face]
     va = D.dart_vertex(walk[pos_a])
     vb = D.dart_vertex(walk[pos_b])
-    face_vertices = set(D.dart_vertex(d) for d in walk)
-    found = None
-    for u in sorted(face_vertices):
-        if u == va or u == vb:
-            continue
-        if _adjacent(D, u, va) and _adjacent(D, u, vb):
-            if found is not None:
-                raise MultipleCommonNeighbours(
-                    f"face {face}: {va},{vb} share neighbours {found} and {u}"
-                )
-            found = u
-    return found
+    nbr = neighbour_masks(D)
+    on_face = sum(1 << v for v in set(D.face_vertices(face)))
+    # no mask holds its own vertex, so va and vb drop out of the AND
+    common = nbr[va] & nbr[vb] & on_face
+    if common & (common - 1):
+        raise MultipleCommonNeighbours(
+            f"face {face}: {va},{vb} share neighbours "
+            f"{[v for v in range(D.n) if common >> v & 1]}"
+        )
+    return common.bit_length() - 1 if common else None
+
+
+def _jump(
+    D: pg.PlaneDigraph, face: int, positions: tuple[int, ...], i: int
+) -> Optional[int]:
+    """The first index past ``i`` whose vertex is not adjacent to the
+    common neighbour of the angles at ``i`` and ``i + 1``, or None.  That
+    neighbour is adjacent to the vertex at ``i + 1``, so the scan starts at
+    ``i + 2``."""
+    global ADJACENCY_QUERIES
+    u = common_neighbour(D, face, positions[i], positions[i + 1])
+    if u is None:
+        return None
+    around = neighbour_masks(D)[u]
+    walk = D.faces[face]
+    for h in range(i + 2, len(positions)):
+        ADJACENCY_QUERIES += 1
+        if not around >> D.dart_vertex(walk[positions[h]]) & 1:
+            return h
+    return None
 
 
 def _family(
     D: pg.PlaneDigraph, face: int, positions: tuple[int, ...], q: int
 ) -> tuple[frozenset[int], ...]:
-    """Left family over ``positions`` ordered left to right."""
-    walk = D.faces[face]
-    vert = [D.dart_vertex(walk[p]) for p in positions]
-    r = len(positions)
-    if r == 0 or q < 1:
+    """Level ``q`` of the left family over ``positions`` ordered left to
+    right.  The levels are kept per (face, positions) and each is built
+    once, from the one before it.  Indices in a member increase and a jump
+    lands two or more past the last one, so no member is built twice."""
+    if q < 1:
         return ()
+    key = ("supLevels", face, positions)
+    grown = D._analysis_cache.get(key)
+    if grown is None:
+        grown = D._analysis_cache[key] = ([], [], {})
+    levels, members, jumps = grown
+    if q <= len(members):
+        return members[q - 1]
+    r = len(positions)
 
-    def leftmost_non_neighbour(u: int, start_idx: int) -> Optional[int]:
-        for h in range(start_idx, r):
-            if not _adjacent(D, u, vert[h]):
-                return h
-        return None
+    def jump(i: int) -> Optional[int]:
+        if i not in jumps:
+            jumps[i] = _jump(D, face, positions, i)
+        return jumps[i]
 
-    level: list[tuple[int, ...]] = [(0,)]
-    if r >= 2:
-        level.append((1,))
-        u = common_neighbour(D, face, positions[0], positions[1])
-        if u is not None:
-            h = leftmost_non_neighbour(u, 0)
-            if h is not None and (h,) not in level:
-                level.append((h,))
-    for _ in range(q - 1):
-        nxt: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for b in level:
-            i = b[-1]
-            if i + 1 < r:
-                cand = b + (i + 1,)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                u = common_neighbour(D, face, positions[i], positions[i + 1])
-                if u is not None:
-                    h = leftmost_non_neighbour(u, i + 1)
-                    if h is not None:
-                        cand = b + (h,)
-                        if cand not in seen and h not in b:
-                            seen.add(cand)
-                            nxt.append(cand)
-        level = nxt
-    return tuple(frozenset(positions[i] for i in b) for b in level)
+    while len(levels) < q:
+        if levels:
+            nxt = [
+                b + (h,)
+                for b in levels[-1] if b[-1] + 1 < r
+                for h in (b[-1] + 1, jump(b[-1])) if h is not None
+            ]
+        else:
+            nxt = [(h,) for h in ((0, 1, jump(0)) if r >= 2 else range(r))
+                   if h is not None]
+        levels.append(nxt)
+        members.append(tuple(frozenset(positions[i] for i in b) for b in nxt))
+    return members[q - 1]
 
 
 def left_supports(
     D: pg.PlaneDigraph, interval: Interval, q: int
 ) -> SupportFamily:
-    key = ("supL", interval.face, interval.positions, q)
-    cached = D._analysis_cache.get(key)
-    if cached is None:
-        cached = SupportFamily(
-            face=interval.face,
-            side=LEFT,
-            q=q,
-            interval_positions=interval.positions,
-            members=_family(D, interval.face, interval.positions, q),
-        )
-        D._analysis_cache[key] = cached
-    return cached
+    return SupportFamily(
+        interval.face, LEFT, q, interval.positions,
+        _family(D, interval.face, interval.positions, q),
+    )
 
 
 def right_supports(
     D: pg.PlaneDigraph, interval: Interval, q: int
 ) -> SupportFamily:
-    key = ("supR", interval.face, interval.positions, q)
-    cached = D._analysis_cache.get(key)
-    if cached is None:
-        reversed_positions = tuple(reversed(interval.positions))
-        cached = SupportFamily(
-            face=interval.face,
-            side=RIGHT,
-            q=q,
-            interval_positions=interval.positions,
-            members=_family(D, interval.face, reversed_positions, q),
-        )
-        D._analysis_cache[key] = cached
-    return cached
+    return SupportFamily(
+        interval.face, RIGHT, q, interval.positions,
+        _family(D, interval.face, interval.positions[::-1], q),
+    )
 
 
-def support_pool(D: pg.PlaneDigraph, interval: Interval, q_max: int) -> set[int]:
+def support_pool(
+    D: pg.PlaneDigraph, interval: Interval, q_max: int
+) -> frozenset[int]:
     """Union of all member angles of both families up to level ``q_max``;
     every supported completion's endpoints on the interval lie in it."""
-    pool: set[int] = set()
     q_cap = min(q_max, len(interval.positions))
-    for q in range(1, q_cap + 1):
-        pool |= left_supports(D, interval, q).angles()
-        pool |= right_supports(D, interval, q).angles()
+    key = ("supPool", interval.face, interval.positions, q_cap)
+    pool = D._analysis_cache.get(key)
+    if pool is None:
+        pool = D._analysis_cache[key] = frozenset(
+            p
+            for positions in (interval.positions, interval.positions[::-1])
+            for q in range(1, q_cap + 1)
+            for b in _family(D, interval.face, positions, q)
+            for p in b
+        )
     return pool
 
 
@@ -185,8 +193,8 @@ def is_supported_on_interval(
     q = len(w)
     if q > len(interval.positions):
         return False
-    lefts = left_supports(D, interval, q).members
-    rights = right_supports(D, interval, q).members
+    lefts = _family(D, interval.face, interval.positions, q)
+    rights = _family(D, interval.face, interval.positions[::-1], q)
     for bl in lefts:
         rest = w - bl
         if not rest:

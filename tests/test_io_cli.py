@@ -191,6 +191,14 @@ def test_cli_json_report_montecarlo_no(tmp_path, alternating_square, capsys):
     assert 0.0 < data["statistics"]["no_confidence"] <= 1.0
 
 
+def test_cli_montecarlo_budget_past_float_range(tmp_path, capsys):
+    f = tmp_path / "t.pog"
+    f.write_text(pog_io.write_pog(pog_io.gen_random(10, 9, seed=375)))
+    code = cli.main(["solve", str(f), "-k", "200", "--mode", "montecarlo"])
+    assert code in (0, 1)
+    assert capsys.readouterr().out.split()[0] in ("yes", "no")
+
+
 @pytest.mark.parametrize("command", ["verify", "export-dot"])
 @pytest.mark.parametrize(
     "witness",

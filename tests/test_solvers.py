@@ -145,6 +145,13 @@ def test_montecarlo_no_confidence_when_sampled():
     assert sv.solve_oriented(fresh(D), 1).stats.no_confidence is None
 
 
+def test_default_trials_is_exact_past_the_float_range():
+    assert sv.default_trials(3) == 1_027_536_170
+    # 700^k no longer fits a float from k = 109 on
+    assert isinstance(sv.default_trials(200), int)
+    assert sv.default_trials(200) > sv.PINNED_SIMPLE_CANDIDATE_BOUND ** 200
+
+
 def test_exhaustive_accepts_huge_budget(alternating_square):
     # the Monte-Carlo trial count is never computed in exhaustive mode
     for D in (ep.oriented_corpus(5)[177], alternating_square):

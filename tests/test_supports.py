@@ -97,11 +97,137 @@ def test_construction_cost_ceiling():
         dec = fa.decompose_face(D, f)
         for iv in dec.intervals():
             for q in range(1, 7):
-                D._analysis_cache.pop(("supL", iv.face, iv.positions, q), None)
+                # every support cache goes, so each call builds levels 1..q
+                D._analysis_cache.clear()
                 sp.ADJACENCY_QUERIES = 0
                 sp.left_supports(D, iv, q)
                 budget = 64 * (2 ** q) * max(len(iv), 1) * (delta + 1)
                 assert sp.ADJACENCY_QUERIES <= budget
+                if len(iv) >= 2:
+                    assert sp.ADJACENCY_QUERIES > 0
+
+
+# -- reference: the construction as first written, rebuilt from level 1 for
+# every q, on a sorted scan of the face's vertices with one adjacency
+# lookup per pair --------------------------------------------------------
+
+
+def common_neighbour_reference(D, face, pos_a, pos_b):
+    walk = D.faces[face]
+    va = D.dart_vertex(walk[pos_a])
+    vb = D.dart_vertex(walk[pos_b])
+    found = None
+    for u in sorted(set(D.dart_vertex(d) for d in walk)):
+        if u == va or u == vb:
+            continue
+        if D.underlying_adjacent(u, va) and D.underlying_adjacent(u, vb):
+            assert found is None
+            found = u
+    return found
+
+
+def family_reference(D, face, positions, q):
+    walk = D.faces[face]
+    vert = [D.dart_vertex(walk[p]) for p in positions]
+    r = len(positions)
+    if r == 0 or q < 1:
+        return ()
+
+    def adjacent(u, v):
+        return u != v and D.underlying_adjacent(u, v)
+
+    def leftmost_non_neighbour(u, start):
+        for h in range(start, r):
+            if not adjacent(u, vert[h]):
+                return h
+        return None
+
+    level = [(0,)]
+    if r >= 2:
+        level.append((1,))
+        u = common_neighbour_reference(D, face, positions[0], positions[1])
+        if u is not None:
+            h = leftmost_non_neighbour(u, 0)
+            if h is not None and (h,) not in level:
+                level.append((h,))
+    for _ in range(q - 1):
+        nxt, seen = [], set()
+        for b in level:
+            i = b[-1]
+            if i + 1 < r:
+                cand = b + (i + 1,)
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+                u = common_neighbour_reference(
+                    D, face, positions[i], positions[i + 1]
+                )
+                if u is not None:
+                    h = leftmost_non_neighbour(u, i + 1)
+                    if h is not None:
+                        cand = b + (h,)
+                        if cand not in seen and h not in b:
+                            seen.add(cand)
+                            nxt.append(cand)
+        level = nxt
+    return tuple(frozenset(positions[i] for i in b) for b in level)
+
+
+def external_chord_pentagon():
+    """Pentagon 0..4 with the chord 0-2 drawn outside it, as in
+    ``test_common_neighbour_via_external_chord``; returns the graph
+    and its inner pentagon face."""
+    from orient_augment.hardness import _Assembly
+
+    asm = _Assembly()
+    for x, y in [(-6, 8), (0, 4), (6, 8), (6, -8), (-6, -8)]:
+        asm.vertex(float(x), float(y))
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]:
+        asm.arc(u, v)
+    D, _vid = asm.build()
+    inner = next(
+        f for f in range(D.f)
+        if len(D.faces[f]) == 5 and len(set(D.face_vertices(f))) == 5
+    )
+    return D, inner
+
+
+def test_families_match_reference():
+    from orient_augment import enumerate_plane as ep
+
+    graphs = list(ep.oriented_corpus(5)[::5])
+    graphs += [
+        pog_io.gen_random(n, m, seed)
+        for n in range(6, 13)
+        for m in (n - 1, 2 * n - 3, 3 * n - 6)
+        for seed in range(3)
+    ]
+    graphs.append(external_chord_pentagon()[0])
+    compared = 0
+    for g, D in enumerate(graphs):
+        # rising q extends the cached levels; falling q grows them at once
+        qs = range(1, 7) if g % 2 else range(6, 0, -1)
+        for f in range(D.f):
+            for iv in fa.decompose_face(D, f).intervals():
+                for a, b in zip(iv.positions, iv.positions[1:]):
+                    assert sp.common_neighbour(D, f, a, b) == (
+                        common_neighbour_reference(D, f, a, b)
+                    )
+                backwards = iv.positions[::-1]
+                for q in qs:
+                    lefts = family_reference(D, f, iv.positions, q)
+                    rights = family_reference(D, f, backwards, q)
+                    assert sp.left_supports(D, iv, q).members == lefts
+                    assert sp.right_supports(D, iv, q).members == rights
+                    union = set()
+                    for qq in range(1, q + 1):
+                        for b in family_reference(D, f, iv.positions, qq):
+                            union |= b
+                        for b in family_reference(D, f, backwards, qq):
+                            union |= b
+                    assert sp.support_pool(D, iv, q) == union
+                    compared += 1
+    assert compared > 1000
 
 
 def test_stack_angles_land_in_left_family():
