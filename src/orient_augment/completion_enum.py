@@ -123,7 +123,7 @@ def supported_completions(
     walk = D.faces[face]
     r = len(walk)
     vert = [D.dart_vertex(d) for d in walk]
-    nbr = sp.neighbour_masks(D)
+    _, nbr = D.adjacency()
     reach = _reachability(D) if minimal_only else None
     cands = []
     for i, u in enumerate(vert):

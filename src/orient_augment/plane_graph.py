@@ -145,7 +145,7 @@ class PlaneDigraph:
         self._dart_pos = dart_pos
         self._rot_next = rot_next
         self._angle_cache: dict[int, Angle] = {}
-        self._adj_cache: Optional[tuple[frozenset, frozenset]] = None
+        self._adj_cache: Optional[tuple[frozenset, list[int]]] = None
         self._scc_cache = None
         self._analysis_cache: dict = {}
 
@@ -194,22 +194,24 @@ class PlaneDigraph:
     def face_vertices(self, face: int) -> tuple[int, ...]:
         return tuple(self.dart_vertex(d) for d in self.faces[face])
 
-    def adjacency(self) -> tuple[frozenset, frozenset]:
-        """(set of ordered arc pairs, set of unordered adjacent pairs)."""
+    def adjacency(self) -> tuple[frozenset, list[int]]:
+        """(set of ordered arc pairs, per vertex the bitmask of its
+        underlying neighbours, the vertex itself excluded)."""
         if self._adj_cache is None:
-            ordered = frozenset(self.arcs)
-            unordered = frozenset(
-                (u, v) if u <= v else (v, u) for (u, v) in self.arcs
-            )
-            self._adj_cache = (ordered, unordered)
+            nbr = [0] * self.n
+            for u, v in self.arcs:
+                if u != v:
+                    nbr[u] |= 1 << v
+                    nbr[v] |= 1 << u
+            self._adj_cache = (frozenset(self.arcs), nbr)
         return self._adj_cache
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.adjacency()[0]
 
     def underlying_adjacent(self, u: int, v: int) -> bool:
-        key = (u, v) if u <= v else (v, u)
-        return key in self.adjacency()[1]
+        """Distinct vertices joined by an arc in either direction."""
+        return bool(self.adjacency()[1][u] >> v & 1)
 
     # -- derived summaries ----------------------------------------------------
 
@@ -417,7 +419,7 @@ def validate_completion_mode(
     each other, in the given mode (which may differ from ``base.mode``)."""
     if mode == MODE_MULTI:
         return
-    ordered, unordered = base.adjacency()
+    ordered, nbr = base.adjacency()
     new_ordered: set[tuple[int, int]] = set()
     new_unordered: set[tuple[int, int]] = set()
     for dt, dh in pairs:
@@ -428,7 +430,7 @@ def validate_completion_mode(
         if (u, v) in ordered or (u, v) in new_ordered:
             raise ModeViolation(f"completion arc {u}->{v} duplicates an arc")
         key = (u, v) if u <= v else (v, u)
-        if mode == MODE_ORIENTED and (key in unordered or key in new_unordered):
+        if mode == MODE_ORIENTED and (nbr[u] >> v & 1 or key in new_unordered):
             raise ModeViolation(f"completion arc {u}->{v} forms a digon")
         new_ordered.add((u, v))
         new_unordered.add(key)

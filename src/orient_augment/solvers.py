@@ -169,7 +169,7 @@ def oracle_candidates(D: pg.PlaneDigraph, mode: str) -> list[_Candidate]:
     vertices lie in distinct strong components, with no loop and no
     mode-violating duplicate against the host graph."""
     comp = sc.scc(D).component
-    ordered, unordered = D.adjacency()
+    ordered, nbr = D.adjacency()
     out: list[_Candidate] = []
     for f in range(D.f):
         walk = D.faces[f]
@@ -183,8 +183,7 @@ def oracle_candidates(D: pg.PlaneDigraph, mode: str) -> list[_Candidate]:
                 if u == v or comp[u] == comp[v]:
                     continue
                 if mode == pg.MODE_ORIENTED:
-                    key = (u, v) if u <= v else (v, u)
-                    if key in unordered:
+                    if nbr[u] >> v & 1:
                         continue
                 else:
                     if (u, v) in ordered:
@@ -302,12 +301,10 @@ MC_DELTA = 0.05
 
 
 def default_trials(k: int) -> int:
-    log_inv_delta = math.log(1 / MC_DELTA)
-    try:
-        return max(1, math.ceil(PINNED_SIMPLE_CANDIDATE_BOUND ** k * log_inv_delta))
-    except OverflowError:  # k >= 109: 700^k is past the float range
-        num, den = log_inv_delta.as_integer_ratio()
-        return -(-PINNED_SIMPLE_CANDIDATE_BOUND ** k * num // den)
+    # ceil(700^k ln(1/delta)) in exact integers: 700^k leaves the float
+    # range at k = 109
+    num, den = math.log(1 / MC_DELTA).as_integer_ratio()
+    return max(1, -(-PINNED_SIMPLE_CANDIDATE_BOUND ** k * num // den))
 
 
 def _report(mode: str, k: int, stats: SolveStats,
@@ -358,9 +355,9 @@ def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
     low = max(sc.scc(D).solution_floor(),
               fa.alternating_terminal_sum(D) // 8 + 1)
     pairs = 3 * D.n - 6 if D.n >= 3 else D.n - 1
-    ordered, unordered = D.adjacency()
+    ordered, nbr = D.adjacency()
     if arc_mode == pg.MODE_ORIENTED:
-        room = pairs - sum(u != v for u, v in unordered)
+        room = pairs - sum(m.bit_count() for m in nbr) // 2
     else:
         room = 2 * pairs - sum(u != v for u, v in ordered)
     return range(low, min(k, room) + 1)

@@ -14,8 +14,9 @@ arc would duplicate it or close a digon.
 Both rules look only at a member's last angle, so each interval side is
 grown once: level q + 1 is built from level q, and a higher level extends
 the levels cached per (face, positions in side order).  Adjacency is read
-from one neighbour bitmask per vertex, so a common neighbour is one AND of
-masks and a non-neighbour one bit test.
+from the graph's neighbour bitmasks (``PlaneDigraph.adjacency``) and a
+cached vertex mask per face, so a common neighbour is one AND of masks and
+a non-neighbour one bit test.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .face_analysis import Interval
 LEFT = "left"
 RIGHT = "right"
 
-# test hook: neighbour-mask reads and bit tests made by family construction
+# test hook: neighbour-mask reads, bit tests and face-vertex reads made by
+# family construction
 ADJACENCY_QUERIES = 0
 
 
@@ -46,17 +48,17 @@ class SupportFamily:
         return len(self.members)
 
 
-def neighbour_masks(D: pg.PlaneDigraph) -> list[int]:
-    """Per vertex, the bitmask of its underlying neighbours, itself
-    excluded."""
-    cached = D._analysis_cache.get("nbr")
-    if cached is None:
-        cached = D._analysis_cache["nbr"] = [0] * D.n
-        for u, v in D.arcs:
-            if u != v:
-                cached[u] |= 1 << v
-                cached[v] |= 1 << u
-    return cached
+def _face_mask(D: pg.PlaneDigraph, face: int) -> int:
+    """Bitmask of the face's vertices, built once per face."""
+    global ADJACENCY_QUERIES
+    key = ("faceMask", face)
+    mask = D._analysis_cache.get(key)
+    if mask is None:
+        ADJACENCY_QUERIES += len(D.faces[face])
+        mask = D._analysis_cache[key] = sum(
+            1 << v for v in set(D.face_vertices(face))
+        )
+    return mask
 
 
 def common_neighbour(
@@ -74,10 +76,9 @@ def common_neighbour(
     walk = D.faces[face]
     va = D.dart_vertex(walk[pos_a])
     vb = D.dart_vertex(walk[pos_b])
-    nbr = neighbour_masks(D)
-    on_face = sum(1 << v for v in set(D.face_vertices(face)))
+    _, nbr = D.adjacency()
     # no mask holds its own vertex, so va and vb drop out of the AND
-    common = nbr[va] & nbr[vb] & on_face
+    common = nbr[va] & nbr[vb] & _face_mask(D, face)
     if common & (common - 1):
         raise MultipleCommonNeighbours(
             f"face {face}: {va},{vb} share neighbours "
@@ -97,7 +98,7 @@ def _jump(
     u = common_neighbour(D, face, positions[i], positions[i + 1])
     if u is None:
         return None
-    around = neighbour_masks(D)[u]
+    around = D.adjacency()[1][u]
     walk = D.faces[face]
     for h in range(i + 2, len(positions)):
         ADJACENCY_QUERIES += 1
@@ -118,8 +119,9 @@ def _family(
     key = ("supLevels", face, positions)
     grown = D._analysis_cache.get(key)
     if grown is None:
-        grown = D._analysis_cache[key] = ([], [], {})
-    levels, members, jumps = grown
+        # [last level as index tuples, every level's members, jumps]
+        grown = D._analysis_cache[key] = [[], [], {}]
+    frontier, members, jumps = grown
     if q <= len(members):
         return members[q - 1]
     r = len(positions)
@@ -129,18 +131,19 @@ def _family(
             jumps[i] = _jump(D, face, positions, i)
         return jumps[i]
 
-    while len(levels) < q:
-        if levels:
-            nxt = [
+    while len(members) < q:
+        if members:
+            frontier = [
                 b + (h,)
-                for b in levels[-1] if b[-1] + 1 < r
+                for b in frontier if b[-1] + 1 < r
                 for h in (b[-1] + 1, jump(b[-1])) if h is not None
             ]
         else:
-            nxt = [(h,) for h in ((0, 1, jump(0)) if r >= 2 else range(r))
-                   if h is not None]
-        levels.append(nxt)
-        members.append(tuple(frozenset(positions[i] for i in b) for b in nxt))
+            frontier = [(h,) for h in ((0, 1, jump(0)) if r >= 2 else range(r))
+                        if h is not None]
+        members.append(
+            tuple(frozenset(positions[i] for i in b) for b in frontier))
+    grown[0] = frontier
     return members[q - 1]
 
 
