@@ -23,7 +23,7 @@ oracle = sv.brute_solve(D, 3)
 print("\noracle:", "optimum", oracle.optimum if oracle.verdict else "> 3")
 
 # the branching solver: branch over completions of alternating faces,
-# then route the simple-face remainder through the candidate-arc dijoin
+# then resolve the simple-face remainder by a search over candidate arcs
 for k in range(4):
     rep = sv.solve_oriented(D, k)
     print(f"solve_oriented(k={k}): {'yes' if rep.verdict else 'no'}"

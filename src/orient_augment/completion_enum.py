@@ -9,6 +9,7 @@ local terminal angles of an acyclic instance.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import face_analysis as fa
@@ -218,15 +219,14 @@ def simple_face_candidates(
     cached = D._analysis_cache.get(key)
     if cached is not None:
         return cached
-    all_supported = [
-        c for c in supported_completions(D, face, 3, minimal_only=True) if c.arcs
-    ]
+    supported = supported_completions(D, face, 3, minimal_only=True)
+    all_supported = list(supported)[1:]  # less the empty one, yielded first
     keys = [c.key() for c in all_supported]
-    out = []
-    for i, c in enumerate(all_supported):
-        if any(j != i and keys[i] < keys[j] for j in range(len(all_supported))):
-            continue
-        out.append(c)
+    # the proper subsets of every member (at most 3 arcs: 6 each) are
+    # exactly the dominated ones
+    inside = {frozenset(s) for k in keys for r in range(1, len(k))
+              for s in combinations(k, r)}
+    out = [c for c, k in zip(all_supported, keys) if k not in inside]
     D._analysis_cache[key] = out
     return out
 

@@ -5,14 +5,14 @@ original arcs, make the digraph strongly connected.  The solver here is an
 exact bounded-budget covering branch: while the current graph is not
 strong, some terminal component must gain an arc, and only reversals of
 arcs crossing its dicut can provide one, so branching over those arcs is
-complete.  Budgets at the call sites stay tiny, which keeps the worst case
-``O(m^k)`` acceptable; the ``reversible`` marker set is the seam where a
-polynomial engine could be slotted in.
+complete.  Budgets stay tiny, which keeps the worst case ``O(m^k)``.
 
 ``build_auxiliary`` encodes "find a minimum solution using only these
 candidate completion arcs" as a dijoin question: original arcs are priced
 out of reach by subdivision, and each candidate arc gets a cheap gadget
-arc whose reversal stands for using the candidate.
+arc whose reversal stands for using the candidate.  Of the solvers only
+the Monte-Carlo mode uses it, once per sampled candidate assignment; the
+exact mode searches the candidate arcs directly (``solvers``).
 """
 
 from __future__ import annotations

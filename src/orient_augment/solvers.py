@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -31,7 +32,8 @@ DEFAULT_ORACLE_LIMITS = (10, 4)  # max vertices, max budget
 @dataclass
 class SolveStats:
     branches: int = 0
-    dijoin_calls: int = 0
+    search_nodes: int = 0   # nodes of the exact simple-face search
+    dijoin_calls: int = 0   # auxiliary dijoins of the Monte-Carlo mode
     trials: int = 0
     seed: Optional[int] = None
     # set on a Monte-Carlo no: 1.0 when no branch was sampled, else the
@@ -67,6 +69,7 @@ class SolveReport:
             "k": self.k,
             "statistics": {
                 "branches": self.stats.branches,
+                "search_nodes": self.stats.search_nodes,
                 "dijoin_calls": self.stats.dijoin_calls,
                 "trials": self.stats.trials,
                 "no_confidence": self.stats.no_confidence,
@@ -368,16 +371,17 @@ class _Branch(NamedTuple):
 
     ends: list[tuple[int, int]]      # vertex pairs of the branch arcs
     blocked: set[tuple[int, int]]    # pairs a simple-face arc may not join
-    sources: list[int]               # vertex bitmasks of source components
-    sinks: list[int]                 # ... and of sink components
+    sources: list[int]               # component-id bitmasks of sources
+    sinks: list[int]                 # ... and of sinks
     floor: int                       # Eswaran-Tarjan: max(#source, #sink)
 
 
-def _covers_terminals(branch: _Branch, allowed: dict[int, pg.Completion]) -> bool:
+def _covers_terminals(comp, branch: _Branch, allowed: dict) -> bool:
     """Necessary condition for the allowed arcs to complete the branch:
-    every source component must receive a head, every sink must emit a
-    tail."""
-    arcs = [a.ends for comp in allowed.values() for a in comp.arcs]
+    every source component (``comp`` maps vertices to component ids) must
+    receive a head, every sink must emit a tail."""
+    arcs = [(comp[u], comp[v]) for c in allowed.values()
+            for u, v in (a.ends for a in c.arcs)]
     enters = lambda m: any((m >> v) & 1 and not (m >> u) & 1 for u, v in arcs)
     leaves = lambda m: any((m >> u) & 1 and not (m >> v) & 1 for u, v in arcs)
     return all(map(enters, branch.sources)) and all(map(leaves, branch.sinks))
@@ -397,14 +401,10 @@ def _complete_assignment(
     arcs live in other faces."""
     allowed = {}
     for f, comp in zip(faces, assignment):
-        kept = [a for a in comp.arcs if a.ends not in branch.blocked]
-        if len(kept) == len(comp.arcs):
-            allowed[f] = comp
-        elif kept:
-            allowed[f] = D.completion_from_darts(
-                [(a.tail.dart, a.head.dart) for a in kept]
-            )
-    if not _covers_terminals(branch, allowed):
+        kept = tuple(a for a in comp.arcs if a.ends not in branch.blocked)
+        if kept:
+            allowed[f] = pg.Completion(kept)
+    if not _covers_terminals(sc.scc(D).component, branch, allowed):
         return None
     inst = dj.build_auxiliary_with_extra(
         D, branch.ends, allowed, cap, subdivision=False
@@ -414,31 +414,70 @@ def _complete_assignment(
     return dj.extract_solution(inst, y) if y else None
 
 
-def _simple_exhaustive(
-    D: pg.PlaneDigraph,
-    branch: _Branch,
-    simple: list[tuple[int, list[pg.Completion]]],
-    budget: int,
-    stats: SolveStats,
-) -> Optional[pg.Completion]:
-    """Minimum completion within the simple faces making the branch strong,
-    by enumerating every face subset of size at most ``budget`` and every
-    candidate assignment on it.  Stops once the subset size exceeds the
-    cap: a smaller completion using fewer faces was offered before."""
-    best: Optional[pg.Completion] = None
-    for size in range(1, min(budget, len(simple)) + 1):
-        for subset in itertools.combinations(simple, size):
-            faces = [f for f, _ in subset]
-            for assignment in itertools.product(*(cs for _, cs in subset)):
-                cap = budget if best is None else len(best.arcs) - 1
-                if cap < branch.floor or size > cap:
-                    return best
-                found = _complete_assignment(
-                    D, branch, faces, assignment, cap, stats
-                )
-                if found is not None:
-                    best = found
-    return best
+# a simple face's arc: face index, mask of members holding it, ends, darts
+_SimpleArc = namedtuple("_SimpleArc", "face members ends darts")
+
+
+def _simple_search(D: pg.PlaneDigraph, simple: list, arc_mode: str,
+                   stats: SolveStats) -> Callable[..., Optional[list]]:
+    """Exact resolver: ``complete(branch, budget)`` gives the dart pairs of
+    a minimum completion of at most ``budget`` arcs in the simple faces
+    that makes the branch strong, or None.  Deepening from the branch's
+    floor, each node branches over the compatible arcs fixing the terminal
+    side of the component DAG that the fewest of them fix: every solution
+    fixes every side, and a minimum one lies, per face, inside a member.
+    Compatible: a member of its face holds it and every arc chosen there,
+    its pair is not blocked, not chosen (oriented: either way) and not
+    tried by an earlier sibling.  A cap's outcome depends only on the
+    branch's arcs, so a branch met again resumes above its failed caps."""
+    part = sc.scc(D)
+    comp = part.component
+    arcs: list[_SimpleArc] = []
+    for i, (_, cs) in enumerate(simple):
+        held: dict[tuple[int, int], list] = {}
+        for m, c in enumerate(cs):
+            for a in c.arcs:
+                darts = (a.tail.dart, a.head.dart)
+                held.setdefault(darts, [0, a.ends])[0] |= 1 << m
+        arcs += [_SimpleArc(i, ms, e, d) for d, (ms, e) in held.items()]
+    full = [(1 << len(cs)) - 1 for _, cs in simple]
+    failed: dict[frozenset, int] = {}
+
+    def complete(branch: _Branch, budget: int):
+        masks, chosen = list(full), []
+
+        def search(room: int, tried: frozenset) -> bool:
+            stats.search_nodes += 1
+            sources, sinks = part.terminal_sides(
+                branch.ends + [a.ends for a in chosen])
+            if not sources or max(len(sources), len(sinks)) > room:
+                return not sources
+            taken = branch.blocked.union(a.ends for a in chosen)
+            if arc_mode == pg.MODE_ORIENTED:
+                taken.update((a.ends[1], a.ends[0]) for a in chosen)
+            free = [a for a in arcs if masks[a.face] & a.members
+                    and a.ends not in taken and a.darts not in tried]
+            # a source needs an arc entering it, a sink one leaving it
+            for a in min(([a for a in free if side >> comp[a.ends[into]] & 1
+                           and not side >> comp[a.ends[1 - into]] & 1]
+                          for side, into in [(s, 1) for s in sources]
+                          + [(s, 0) for s in sinks]), key=len):
+                chosen.append(a)
+                saved, masks[a.face] = masks[a.face], masks[a.face] & a.members
+                if search(room - 1, tried):
+                    return True
+                masks[a.face] = saved
+                chosen.pop()
+                tried |= {a.darts}
+            return False
+
+        key = frozenset(branch.ends)
+        for cap in range(max(branch.floor, failed.get(key, -1) + 1), budget + 1):
+            if search(cap, frozenset()):
+                return [a.darts for a in chosen]
+            failed[key] = cap
+
+    return complete
 
 
 def _simple_montecarlo(
@@ -449,12 +488,11 @@ def _simple_montecarlo(
     stats: SolveStats,
     trials: int,
     rng: random.Random,
-) -> tuple[Optional[pg.Completion], bool]:
-    """Best completion over ``trials`` random candidate assignments, one
-    candidate per face, and whether it walked every assignment instead:
-    it does when there are no more of them than ``trials``."""
-    faces = [f for f, _ in simple]
-    lists = [cs for _, cs in simple]
+) -> tuple[Optional[list[tuple[int, int]]], bool]:
+    """Dart pairs of the best completion over ``trials`` random candidate
+    assignments, one per face, and whether it walked every assignment
+    instead, as it does when there are no more of them than ``trials``."""
+    faces, lists = zip(*simple)
     walk = math.prod(len(cs) for cs in lists) <= trials
     if walk:
         assignments = itertools.product(*lists)
@@ -469,7 +507,7 @@ def _simple_montecarlo(
         found = _complete_assignment(D, branch, faces, assignment, cap, stats)
         if found is not None:
             best = found
-    return best, walk
+    return best and [(a.tail.dart, a.head.dart) for a in best.arcs], walk
 
 
 def _branch_loop(
@@ -478,26 +516,27 @@ def _branch_loop(
     candidates: Callable[[int], list[pg.Completion]],
     k: int,
     arc_mode: str,
-    complete: Callable[..., Optional[pg.Completion]],
     stats: SolveStats,
+    sample: Optional[Callable[..., Optional[list[tuple[int, int]]]]] = None,
 ) -> Optional[list[tuple[int, int]]]:
     """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
     dart pairs, or None.
 
-    Iterative deepening on the total size: for ``b`` over ``_levels``,
-    the branches of at most ``b`` arcs, ``branches(b)``
-    (one completion per alternating face, pruned against ``b``), are tried
-    smallest first, and the first one that completes within ``b`` is the
-    answer: every smaller budget answered no, so it is minimum.  A branch
-    that is not yet strong is handed with its remaining budget to
-    ``complete(D, branch, simple, budget, stats)``, which resolves it in
-    the simple faces from their lists ``candidates(face)``.  ``arc_mode``
-    says which pairs a branch blocks: adjacent ones in oriented mode,
-    existing arcs in directed mode."""
+    Iterative deepening on the total size: for ``b`` over ``_levels``, the
+    branches of at most ``b`` arcs, ``branches(b)`` (one completion per
+    alternating face, pruned against ``b``), are tried smallest first, and
+    the first one that completes within ``b`` is the answer: every smaller
+    budget answered no, so it is minimum.  A branch not strong on the
+    component DAG is resolved in the simple faces, from their lists
+    ``candidates(face)``, by ``_simple_search`` or ``sample(branch, simple,
+    budget)``.  ``arc_mode`` says which pairs a branch blocks: adjacent
+    ones in oriented mode, arcs in directed mode."""
     levels = _levels(D, k, arc_mode)
     if not levels:
         return None
     simple = [(f, cs) for f in fa.simple_faces(D) if (cs := candidates(f))]
+    complete = (lambda br, budget: sample(br, simple, budget)) if sample \
+        else _simple_search(D, simple, arc_mode, stats)
     for b in levels:
         for parts in sorted(branches(b), key=lambda ps: sum(map(len, ps))):
             stats.branches += 1
@@ -505,7 +544,7 @@ def _branch_loop(
             arcs = [a for c in parts for a in c.arcs]
             pairs = [(a.tail.dart, a.head.dart) for a in arcs]
             ends = [a.ends for a in arcs]
-            sources, sinks = sc.terminal_sides(D.n, list(D.arcs) + ends)
+            sources, sinks = sc.scc(D).terminal_sides(ends)
             if not sources:
                 return pairs
             floor = max(len(sources), len(sinks))
@@ -514,12 +553,10 @@ def _branch_loop(
             blocked = set(D.arcs).union(ends)
             if arc_mode == pg.MODE_ORIENTED:
                 blocked |= {(v, u) for u, v in blocked}
-            found = complete(
-                D, _Branch(ends, blocked, sources, sinks, floor), simple,
-                b - size, stats,
-            )
+            found = complete(_Branch(ends, blocked, sources, sinks, floor),
+                             b - size)
             if found is not None:
-                return pairs + [(a.tail.dart, a.head.dart) for a in found.arcs]
+                return pairs + found
     return None
 
 
@@ -541,11 +578,12 @@ def solve_oriented(
     stops at the first ``b`` that answers yes, so a large ``k`` costs what
     the optimum costs.  At each ``b`` it branches over the supported
     completions of the alternating faces whose Eswaran-Tarjan floor is
-    at most ``b``; the remainder lives in the instance's simple faces and
-    is resolved through the candidate-arc dijoin reduction, either
-    exhaustively over candidate assignments (exact) or by uniform random
-    assignment per trial (``method="montecarlo"``: a yes is always
-    certified, a no may err).
+    at most ``b``; the remainder lives in the instance's simple faces.
+    The exact mode resolves it by one search over their candidate arcs,
+    driven by the terminal sides of the component DAG; with
+    ``method="montecarlo"`` it is resolved through the candidate-arc
+    dijoin reduction on one random candidate per face and trial (a yes
+    is always certified, a no may err).
     """
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
@@ -560,24 +598,21 @@ def solve_oriented(
     if known:
         return _report(pg.MODE_ORIENTED, k, stats, witness)
     sampled = False
-    if exact:
-        complete = _simple_exhaustive
-    else:
+    if not exact:
         trials = default_trials(k) if trials is None else trials
         rng = random.Random(seed)
 
-        def complete(D, branch, simple, budget, stats):
+        def sample(branch, simple, budget):
             nonlocal sampled
-            found, walked = _simple_montecarlo(
-                D, branch, simple, budget, stats, trials, rng
-            )
+            found, walked = _simple_montecarlo(D, branch, simple, budget,
+                                               stats, trials, rng)
             sampled = sampled or not walked
             return found
 
     best = _branch_loop(
         D, lambda b: ce.alternating_branches(D, b, minimal_only=True),
         lambda f: ce.simple_face_candidates(D, f), k, pg.MODE_ORIENTED,
-        complete, stats,
+        stats, None if exact else sample,
     )
     if best is not None:
         witness = D.completion_from_darts(best)
@@ -586,10 +621,10 @@ def solve_oriented(
             raise AssertionError(f"solver produced invalid witness: {diag}")
     elif not exact:
         # a no is exact unless some branch was sampled; then report the
-        # per-branch confidence of the sampling
+        # per-branch confidence 1 - (1 - p)^trials, kept from rounding away
         p = PINNED_SIMPLE_CANDIDATE_BOUND ** (-k)
         stats.no_confidence = (
-            1.0 - (1.0 - p) ** max(trials, 1) if sampled else 1.0
+            -math.expm1(max(trials, 1) * math.log1p(-p)) if sampled else 1.0
         )
     if exact:
         memo.record(k, witness)
@@ -611,10 +646,8 @@ def _solve_directed_part(
     faces = fa.alternating_faces(part)
     return _branch_loop(
         part, lambda b: ce.directed_joint_branches(part, faces, b),
-        lambda f: [
-            c for c in ce.directed_supported_completions(part, f, 1) if c.arcs
-        ],
-        kmax, pg.MODE_DIRECTED, _simple_exhaustive, stats,
+        lambda f: ce.directed_supported_completions(part, f, 1)[1:],
+        kmax, pg.MODE_DIRECTED, stats,
     )
 
 
@@ -623,8 +656,8 @@ def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
 
     Pipeline: contract strong components (plane-preserving), split the
     DAG-with-loops along its loops, solve each loopless part by branching
-    over digon-allowed completions of alternating faces plus the dijoin
-    step on simple faces, then recombine budgets and lift the witness back.
+    over digon-allowed completions of alternating faces plus the search
+    on simple faces, then recombine budgets and lift the witness back.
     """
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")

@@ -40,6 +40,13 @@ class SccPartition:
     def is_strong(self) -> bool:
         return len(self.members) <= 1
 
+    def terminal_sides(self, ends=()) -> tuple[list[int], list[int]]:
+        """``terminal_sides`` of the graph plus the arcs ``ends`` (vertex
+        pairs), run on the component DAG: sides are component-id masks."""
+        c = self.component
+        return terminal_sides(
+            self.count, [*self.comp_arcs, *((c[u], c[v]) for u, v in ends)])
+
     def solution_floor(self, ends=()) -> int:
         """Eswaran-Tarjan bound: no solution containing the arcs ``ends``
         (vertex pairs) has fewer arcs than this.  Every source component

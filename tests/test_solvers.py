@@ -1,6 +1,9 @@
+import pathlib
+
 import pytest
 
 from orient_augment import enumerate_plane as ep
+from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
@@ -145,6 +148,16 @@ def test_montecarlo_no_confidence_when_sampled():
     assert sv.solve_oriented(fresh(D), 1).stats.no_confidence is None
 
 
+def test_montecarlo_no_confidence_keeps_tiny_p():
+    # 1 - (1 - p)^trials rounds to 0.0 once p = 700^-k drops below 1.1e-16
+    D = ep.oriented_corpus(5)[42]
+    rep = sv.solve_oriented(fresh(D), 6, method="montecarlo", trials=1, seed=0)
+    assert not rep.verdict and rep.stats.trials >= 1
+    p = sv.PINNED_SIMPLE_CANDIDATE_BOUND ** -6
+    assert rep.stats.no_confidence > 0
+    assert rep.stats.no_confidence == pytest.approx(p)
+
+
 def test_default_trials_is_exact_past_the_float_range():
     assert sv.default_trials(3) == 1_027_536_170
     # 700^k no longer fits a float from k = 109 on
@@ -235,3 +248,34 @@ def test_sparse_no_instances_enumerate_no_branch(n, m, seed, solve):
     rep = solve(pog_io.gen_random(n, m, seed=seed), 3)
     assert not rep.verdict and rep.optimum is None
     assert rep.stats.branches == 0
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, removed", [
+    ("planted_multi_7.pog", 3), ("planted_multi_12.pog", 2),
+])
+@pytest.mark.parametrize("solve", [sv.solve_oriented, sv.solve_directed])
+def test_many_open_simple_faces(name, removed, solve):
+    # a strong n = 57 graph less `removed` arcs, whose 10 and 12 open faces
+    # are all simple: the simple-face search does all of the work
+    text = (DATA / name).read_text()
+    D = pog_io.parse_pog(text)
+    assert len(fa.simple_faces(D)) >= 8 and not fa.alternating_faces(D)
+    mode = "oriented" if solve is sv.solve_oriented else "directed"
+    rep = solve(D, 3)
+    assert rep.verdict and rep.optimum <= removed
+    ok, diag = sv.verify_solution(D, rep.witness, mode)
+    assert ok, diag
+    assert 0 < rep.stats.search_nodes <= 100
+    assert rep.stats.dijoin_calls == 0
+    below = solve(pog_io.parse_pog(text), rep.optimum - 1)
+    assert not below.verdict
+    assert below.stats.search_nodes <= 100
+
+
+def test_report_json_counts_search_nodes():
+    D = pog_io.parse_pog((DATA / "planted_multi_12.pog").read_text())
+    stats = sv.solve_oriented(D, 3).to_json_dict()["statistics"]
+    assert stats["search_nodes"] > 0 and stats["dijoin_calls"] == 0
