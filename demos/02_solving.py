@@ -22,8 +22,8 @@ print(report.table())
 oracle = sv.brute_solve(D, 3)
 print("\noracle:", "optimum", oracle.optimum if oracle.verdict else "> 3")
 
-# the branching solver: branch over completions of alternating faces,
-# then resolve the simple-face remainder by a search over candidate arcs
+# the exact solver: at each budget, one covering search over the arcs of
+# every open face's supported completions
 for k in range(4):
     rep = sv.solve_oriented(D, k)
     print(f"solve_oriented(k={k}): {'yes' if rep.verdict else 'no'}"

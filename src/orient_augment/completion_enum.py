@@ -1,22 +1,23 @@
 """Enumeration of supported completions.
 
-Three consumers: branching over alternating faces (joint streams with a
-shared budget), candidate generation for simple faces (small constant
-lists), and the digon-allowed variant where completions attach only to
-local terminal angles of an acyclic instance.
+Three kinds of list: supported completions of one face (the members the
+exact covering search draws arcs from), candidate lists for simple faces
+(small constant lists), and the digon-allowed variant where completions
+attach only to local terminal angles of an acyclic instance; plus the
+joint branches over alternating faces that the Monte-Carlo mode walks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import face_analysis as fa
 from . import plane_graph as pg
 from . import supports as sp
 from .errors import NotSimpleFace
-from .strongconn import SccPartition, scc
+from .strongconn import scc
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,10 @@ def alternating_branches(
     ]
     part = scc(D)
     comp_of = part.component
+    chosen: list[pg.Completion] = []
+    ends: list[tuple[int, int]] = []
 
-    def legal(ends: list[tuple[int, int]], cand: pg.Completion) -> bool:
+    def legal(cand: pg.Completion) -> bool:
         pairs = set(ends)
         comp_pairs = set()
         for u, v in ends:
@@ -273,27 +276,10 @@ def alternating_branches(
                     return False
         return True
 
-    yield from _joint_branches(
-        per_face, k, legal, part if minimal_only else None
-    )
-
-
-def _joint_branches(
-    per_face: list[list[pg.Completion]],
-    k: int,
-    legal: Callable[[list[tuple[int, int]], pg.Completion], bool],
-    part: Optional[SccPartition],
-) -> Iterator[tuple[pg.Completion, ...]]:
-    """One completion per face in face order, at most ``k`` arcs in total,
-    each non-empty pick ``legal`` next to the vertex pairs of the picks
-    before it.  With ``part`` (the host's strong components), a choice
-    whose Eswaran-Tarjan floor exceeds ``k`` is dropped, and with it every
-    extension of it."""
-    chosen: list[pg.Completion] = []
-    ends: list[tuple[int, int]] = []
-
     def rec(i: int, budget: int) -> Iterator[tuple[pg.Completion, ...]]:
-        if part is not None and part.solution_floor(ends) > k:
+        # with minimal_only, a choice whose Eswaran-Tarjan floor exceeds k
+        # is dropped, and with it every extension of it
+        if minimal_only and part.solution_floor(ends) > k:
             return
         if i == len(per_face):
             yield tuple(chosen)
@@ -301,7 +287,7 @@ def _joint_branches(
         for comp in per_face[i]:
             if len(comp) > budget:
                 continue
-            if comp.arcs and not legal(ends, comp):
+            if comp.arcs and not legal(comp):
                 continue
             chosen.append(comp)
             ends.extend(a.ends for a in comp.arcs)
@@ -402,20 +388,3 @@ def directed_supported_completions(
     if budget > 0:
         rec(0)
     return out
-
-
-def directed_joint_branches(
-    D: pg.PlaneDigraph, faces: list[int], k: int
-) -> Iterator[tuple[pg.Completion, ...]]:
-    """Joint choice of a digon-allowed completion per face, total size at
-    most ``k``, pairwise parallel-free, pruned per face and jointly by the
-    Eswaran-Tarjan floor against ``k``."""
-    per_face = [
-        directed_supported_completions(D, f, k, bounded=True) for f in faces
-    ]
-
-    def legal(ends: list[tuple[int, int]], cand: pg.Completion) -> bool:
-        pairs = set(ends)
-        return all(a.ends not in pairs for a in cand.arcs)
-
-    yield from _joint_branches(per_face, k, legal, scc(D))

@@ -1,10 +1,11 @@
 """Minimum dijoin on auxiliary digraphs.
 
 A dijoin of a digraph is an arc set whose reversals, added alongside the
-original arcs, make the digraph strongly connected.  The solver here is an
-exact bounded-budget covering branch: while the current graph is not
-strong, some terminal component must gain an arc, and only reversals of
-arcs crossing its dicut can provide one, so branching over those arcs is
+original arcs, make the digraph strongly connected.  The solver here is
+the exact bounded-budget covering branch ``strongconn.cover_search`` with
+the reversed arcs as candidates: while the current graph is not strong,
+some terminal component must gain an arc, and only reversals of arcs
+crossing its dicut can provide one, so branching over those arcs is
 complete.  Budgets stay tiny, which keeps the worst case ``O(m^k)``.
 
 ``build_auxiliary`` encodes "find a minimum solution using only these
@@ -12,7 +13,8 @@ candidate completion arcs" as a dijoin question: original arcs are priced
 out of reach by subdivision, and each candidate arc gets a cheap gadget
 arc whose reversal stands for using the candidate.  Of the solvers only
 the Monte-Carlo mode uses it, once per sampled candidate assignment; the
-exact mode searches the candidate arcs directly (``solvers``).
+exact mode runs the same covering search on the candidate arcs directly
+(``solvers._cover``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 from . import face_analysis as fa
 from . import plane_graph as pg
 from .errors import NonGadgetArcInY, NotACandidate, UnknownArc
-from .strongconn import terminal_sides
+from .strongconn import cover_search, terminal_sides
 
 
 @dataclass
@@ -60,46 +62,16 @@ def min_dijoin_upto(
     """A minimum dijoin among subsets of ``reversible`` (all arcs when
     None), provided its size is at most ``k``; None otherwise.
 
-    Deterministic: candidates are tried in ascending arc-id order, and the
-    witness is the first one found at the minimum depth.
+    Deterministic: the covering search (``strongconn.cover_search``) runs
+    with cap 0, 1, ..., ``k`` over the reversed arcs in ascending arc-id
+    order, and the witness is the first one found at the minimum cap.
     """
-    allowed = (
-        set(range(len(g.arcs))) if reversible is None else set(reversible)
-    )
-    base = list(g.arcs)
-
-    def search(budget: int, chosen: list[int]) -> Optional[list[int]]:
-        arcs = base + [(v, u) for (u, v) in (g.arcs[a] for a in chosen)]
-        sources, sinks = terminal_sides(g.n, arcs)
-        if not sources and not sinks:
-            return list(chosen)
-        if max(len(sources), len(sinks)) > budget:
-            return None
-        # branch on the terminal side crossed by the fewest allowed arcs: a
-        # source needs an arc leaving it reversed, a sink one entering it
-        free = [(a, g.arcs[a]) for a in sorted(allowed.difference(chosen))]
-        best_cands: Optional[list[int]] = None
-        for side, into in [(s, 0) for s in sources] + [(s, 1) for s in sinks]:
-            cands = [
-                a for a, ends in free
-                if (side >> ends[into]) & 1 and not (side >> ends[1 - into]) & 1
-            ]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_cands = cands
-        if not best_cands:
-            return None
-        for a in best_cands:
-            chosen.append(a)
-            res = search(budget - 1, chosen)
-            if res is not None:
-                return res
-            chosen.pop()
-        return None
-
-    for b in range(0, k + 1):
-        res = search(b, [])
-        if res is not None:
-            return res
+    ids = sorted(range(len(g.arcs)) if reversible is None else set(reversible))
+    reversed_arcs = [(v, u) for u, v in (g.arcs[a] for a in ids)]
+    for b in range(k + 1):
+        found, _ = cover_search(g.n, g.arcs, reversed_arcs, b)
+        if found is not None:
+            return [ids[i] for i in found]
     return None
 
 

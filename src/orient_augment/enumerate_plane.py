@@ -39,11 +39,11 @@ def _dart_vertex(emap: PlaneMap, d: int) -> int:
     return u if (d & 1) == 0 else v
 
 
-def _signature(emap: PlaneMap, start: int, reverse: bool, directed_mask=None):
+def _signature(emap: PlaneMap, start: int, reverse: bool):
     """Canonical BFS labelling of the embedding from one rooted dart.
 
     Yields a flat tuple: per visited vertex, its rotation read from the
-    entry dart, encoded as (neighbour label, direction bit) pairs.
+    entry dart as neighbour labels, closed by -1.
     """
     rot = emap.rotation
     ring_of = {}
@@ -72,21 +72,16 @@ def _signature(emap: PlaneMap, start: int, reverse: bool, directed_mask=None):
             if w not in label:
                 label[w] = len(label)
                 order.append((w, d ^ 1))
-            if directed_mask is None:
-                sig.append(label[w])
-            else:
-                e = d >> 1
-                tail_here = ((d & 1) == 0) ^ bool((directed_mask >> e) & 1)
-                sig.append((label[w], 1 if tail_here else 0))
+            sig.append(label[w])
         sig.append(-1)
     return tuple(sig), label
 
 
-def canonical_form(emap: PlaneMap, directed_mask=None):
+def canonical_form(emap: PlaneMap):
     best = None
     for e in range(2 * emap.m):
         for reverse in (False, True):
-            s, _ = _signature(emap, e, reverse, directed_mask)
+            s, _ = _signature(emap, e, reverse)
             if best is None or s < best:
                 best = s
     return (emap.n, emap.m, best)
@@ -210,11 +205,10 @@ def _reorient(D: pg.PlaneDigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(ring_out)
 
 
-def plane_maps_up_to(n_max: int, m_max: int | None = None):
+def plane_maps_up_to(n_max: int):
     """Every connected plane graph with 2..n_max vertices, one embedding
     representative per isomorphism class (reflections identified)."""
-    if m_max is None:
-        m_max = max(3 * n_max - 6, 1)
+    m_max = max(3 * n_max - 6, 1)
     k2 = PlaneMap(n=2, edges=((0, 1),), rotation=((0,), (1,)))
     seen = {canonical_form(k2)}
     frontier = [k2]

@@ -333,20 +333,18 @@ POSITIVE_COMPLETION = (("r", "t"), ("t", "br"), ("l", "b"), ("b", "tl"))
 NEGATIVE_COMPLETION = (("l", "t"), ("t", "bl"), ("r", "b"), ("b", "tr"))
 
 
-def _polar(asm: _Assembly, cx: float, cy: float, rot_deg: float,
-           bearing_deg: float, radius: float) -> int:
-    rad = math.radians((bearing_deg + rot_deg) % 360.0)
+def _polar(asm: _Assembly, cx: float, cy: float, bearing_deg: float,
+           radius: float) -> int:
+    rad = math.radians(bearing_deg % 360.0)
     return asm.vertex(cx + radius * math.sin(rad), cy + radius * math.cos(rad))
 
 
-def _add_literal(
-    asm: _Assembly, cx: float, cy: float, rot_deg: float, scale: float = 1.0
-) -> dict[str, int]:
+def _add_literal(asm: _Assembly, cx: float, cy: float) -> dict[str, int]:
     ids: dict[str, int] = {}
     for name, (bear, rad) in _OCT.items():
-        ids[name] = _polar(asm, cx, cy, rot_deg, bear, rad * scale)
+        ids[name] = _polar(asm, cx, cy, bear, rad)
     for name, (bear, rad) in _TWINS.items():
-        ids[name + "'"] = _polar(asm, cx, cy, rot_deg, bear, rad * scale)
+        ids[name + "'"] = _polar(asm, cx, cy, bear, rad)
     for u, v in _LITERAL_ARCS:
         asm.arc(ids[u], ids[v])
     for name in ("b", "l", "t", "r"):
@@ -358,7 +356,7 @@ def literal_gadget() -> GadgetInstance:
     """Standalone literal gadget: alternating octagon, four twins, and the
     internal top-to-bottom chord; twelve vertices and two 5-faces."""
     asm = _Assembly()
-    ids = _add_literal(asm, 0.0, 0.0, 0.0)
+    ids = _add_literal(asm, 0.0, 0.0)
     graph, vid = asm.build()
     return GadgetInstance(
         graph=graph, ports={k: vid[v] for k, v in ids.items()}
@@ -371,8 +369,7 @@ def literal_gadget() -> GadgetInstance:
 
 
 def _add_variable(
-    asm: _Assembly, n_x: int, cx: float = 0.0, cy: float = 0.0,
-    rot_deg: float = 0.0, scale: float = 1.0,
+    asm: _Assembly, n_x: int, cx: float = 0.0, cy: float = 0.0
 ) -> list[dict[str, int]]:
     """Ring of ``n_x`` literal gadgets around a shared bottom twin.
 
@@ -388,8 +385,8 @@ def _add_variable(
     hub = asm.vertex(cx, cy)
 
     def put(i: int, name: str, off_deg: float, radius: float) -> None:
-        beta = rot_deg + 360.0 * i / n_x
-        lits[i][name] = _polar(asm, cx, cy, 0.0, beta + off_deg, radius * scale)
+        beta = 360.0 * i / n_x
+        lits[i][name] = _polar(asm, cx, cy, beta + off_deg, radius)
 
     for i in range(n_x):
         put(i, "b", 0.0, 15.0)
@@ -449,17 +446,16 @@ _RING_SLOTS = [
 
 
 def _add_clause(
-    asm: _Assembly, cx: float = 0.0, cy: float = 0.0, rot_deg: float = 0.0,
-    scale: float = 1.0,
+    asm: _Assembly, cx: float = 0.0, cy: float = 0.0
 ) -> dict[str, int]:
     """Fifteen-vertex clause gadget.  Slot q of the ring corresponds to the
     q-th variable of the clause in clockwise order; ``R_q``/``M_q`` close
     the sink 4-cycle between variable q and variable q+1."""
     ids: dict[str, int] = {}
     for kind, q, bear in _RING_SLOTS:
-        ids[f"{kind}{q}"] = _polar(asm, cx, cy, rot_deg, bear, 10.0 * scale)
+        ids[f"{kind}{q}"] = _polar(asm, cx, cy, bear, 10.0)
     for q in range(3):
-        ids[f"M{q}"] = _polar(asm, cx, cy, rot_deg, 90.0 + 120.0 * q, 7.0 * scale)
+        ids[f"M{q}"] = _polar(asm, cx, cy, 90.0 + 120.0 * q, 7.0)
     # central directed source triangle
     asm.arc(ids["v0"], ids["v1"])
     asm.arc(ids["v1"], ids["v2"])

@@ -17,7 +17,7 @@ import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import completion_enum as ce
 from . import dijoin as dj
@@ -31,8 +31,8 @@ DEFAULT_ORACLE_LIMITS = (10, 4)  # max vertices, max budget
 
 @dataclass
 class SolveStats:
-    branches: int = 0
-    search_nodes: int = 0   # nodes of the exact simple-face search
+    branches: int = 0       # branches the Monte-Carlo mode tried
+    search_nodes: int = 0   # nodes of the exact covering search
     dijoin_calls: int = 0   # auxiliary dijoins of the Monte-Carlo mode
     trials: int = 0
     seed: Optional[int] = None
@@ -366,6 +366,65 @@ def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
     return range(low, min(k, room) + 1)
 
 
+# an arc of an open face's members: index of the face's list, mask of the
+# members holding it, ends, darts
+_MemberArc = namedtuple("_MemberArc", "face members ends darts")
+
+
+def _cover(
+    D: pg.PlaneDigraph,
+    k: int,
+    arc_mode: str,
+    members: Callable[[int], list[list[pg.Completion]]],
+    stats: SolveStats,
+) -> Optional[list[tuple[int, int]]]:
+    """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
+    dart pairs, or None: the exact mode of both solvers.
+
+    For ``b`` over ``_levels``, one covering search with cap ``b``
+    (``strongconn.cover_search``) on the component DAG, over the distinct
+    arcs of the members that ``members(b)`` lists per open face.  It
+    accepts a set when one member of each face holds all of its arcs
+    there and no vertex pair is joined twice (in oriented mode not even
+    reversed); members embed legally and avoid the host's arcs, so every
+    set it accepts is a legal completion.  It is exact because some
+    minimum solution is supported (``reconfigure.to_supported``,
+    acceptance criterion 6), so in each face it lies inside one member:
+    an alternating face lists every supported completion a minimum
+    solution of at most ``b`` arcs may restrict to, a simple face the
+    maximal ones.  So the first ``b`` that succeeds is the optimum."""
+    part = sc.scc(D)
+    comp = part.component
+    oriented = arc_mode == pg.MODE_ORIENTED
+    for b in _levels(D, k, arc_mode):
+        arcs: list[_MemberArc] = []
+        for i, cs in enumerate(members(b)):
+            held: dict[tuple[int, int], list] = {}
+            for m, c in enumerate(cs):
+                for a in c.arcs:
+                    darts = (a.tail.dart, a.head.dart)
+                    held.setdefault(darts, [0, a.ends])[0] |= 1 << m
+            arcs += [_MemberArc(i, ms, e, d) for d, (ms, e) in held.items()]
+
+        def usable(chosen: list[int], i: int) -> bool:
+            a = arcs[i]
+            inside = a.members
+            for c in map(arcs.__getitem__, chosen):
+                if c.ends == a.ends or oriented and c.ends == a.ends[::-1]:
+                    return False
+                if c.face == a.face:
+                    inside &= c.members
+            return inside != 0
+
+        found, nodes = sc.cover_search(
+            part.count, part.comp_arcs,
+            [(comp[u], comp[v]) for u, v in (a.ends for a in arcs)], b, usable)
+        stats.search_nodes += nodes
+        if found is not None:
+            return [arcs[i].darts for i in found]
+    return None
+
+
 class _Branch(NamedTuple):
     """The host graph plus one branch's arcs, at adjacency level."""
 
@@ -414,72 +473,6 @@ def _complete_assignment(
     return dj.extract_solution(inst, y) if y else None
 
 
-# a simple face's arc: face index, mask of members holding it, ends, darts
-_SimpleArc = namedtuple("_SimpleArc", "face members ends darts")
-
-
-def _simple_search(D: pg.PlaneDigraph, simple: list, arc_mode: str,
-                   stats: SolveStats) -> Callable[..., Optional[list]]:
-    """Exact resolver: ``complete(branch, budget)`` gives the dart pairs of
-    a minimum completion of at most ``budget`` arcs in the simple faces
-    that makes the branch strong, or None.  Deepening from the branch's
-    floor, each node branches over the compatible arcs fixing the terminal
-    side of the component DAG that the fewest of them fix: every solution
-    fixes every side, and a minimum one lies, per face, inside a member.
-    Compatible: a member of its face holds it and every arc chosen there,
-    its pair is not blocked, not chosen (oriented: either way) and not
-    tried by an earlier sibling.  A cap's outcome depends only on the
-    branch's arcs, so a branch met again resumes above its failed caps."""
-    part = sc.scc(D)
-    comp = part.component
-    arcs: list[_SimpleArc] = []
-    for i, (_, cs) in enumerate(simple):
-        held: dict[tuple[int, int], list] = {}
-        for m, c in enumerate(cs):
-            for a in c.arcs:
-                darts = (a.tail.dart, a.head.dart)
-                held.setdefault(darts, [0, a.ends])[0] |= 1 << m
-        arcs += [_SimpleArc(i, ms, e, d) for d, (ms, e) in held.items()]
-    full = [(1 << len(cs)) - 1 for _, cs in simple]
-    failed: dict[frozenset, int] = {}
-
-    def complete(branch: _Branch, budget: int):
-        masks, chosen = list(full), []
-
-        def search(room: int, tried: frozenset) -> bool:
-            stats.search_nodes += 1
-            sources, sinks = part.terminal_sides(
-                branch.ends + [a.ends for a in chosen])
-            if not sources or max(len(sources), len(sinks)) > room:
-                return not sources
-            taken = branch.blocked.union(a.ends for a in chosen)
-            if arc_mode == pg.MODE_ORIENTED:
-                taken.update((a.ends[1], a.ends[0]) for a in chosen)
-            free = [a for a in arcs if masks[a.face] & a.members
-                    and a.ends not in taken and a.darts not in tried]
-            # a source needs an arc entering it, a sink one leaving it
-            for a in min(([a for a in free if side >> comp[a.ends[into]] & 1
-                           and not side >> comp[a.ends[1 - into]] & 1]
-                          for side, into in [(s, 1) for s in sources]
-                          + [(s, 0) for s in sinks]), key=len):
-                chosen.append(a)
-                saved, masks[a.face] = masks[a.face], masks[a.face] & a.members
-                if search(room - 1, tried):
-                    return True
-                masks[a.face] = saved
-                chosen.pop()
-                tried |= {a.darts}
-            return False
-
-        key = frozenset(branch.ends)
-        for cap in range(max(branch.floor, failed.get(key, -1) + 1), budget + 1):
-            if search(cap, frozenset()):
-                return [a.darts for a in chosen]
-            failed[key] = cap
-
-    return complete
-
-
 def _simple_montecarlo(
     D: pg.PlaneDigraph,
     branch: _Branch,
@@ -510,35 +503,41 @@ def _simple_montecarlo(
     return best and [(a.tail.dart, a.head.dart) for a in best.arcs], walk
 
 
+def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
+    """1 - (1 - p)^trials, kept from rounding away when p is tiny: the
+    chance that ``trials`` assignments of one uniform random member per
+    candidate list, of ``sizes`` members each, hit the members a solution
+    of at most ``k`` arcs lies in.  It touches at most ``k`` lists, so p
+    is the product of 1 / size over the min(k, len(sizes)) longest."""
+    p = math.prod(1 / s for s in sorted(sizes, reverse=True)[:k])
+    return -math.expm1(max(trials, 1) * math.log1p(-p))
+
+
 def _branch_loop(
     D: pg.PlaneDigraph,
-    branches: Callable[[int], Iterable[tuple[pg.Completion, ...]]],
-    candidates: Callable[[int], list[pg.Completion]],
     k: int,
-    arc_mode: str,
     stats: SolveStats,
-    sample: Optional[Callable[..., Optional[list[tuple[int, int]]]]] = None,
+    trials: int,
+    rng: random.Random,
 ) -> Optional[list[tuple[int, int]]]:
-    """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
-    dart pairs, or None.
+    """Monte-Carlo oriented augmentation of a non-strong ``D`` within
+    budget ``k``, as dart pairs, or None; a no sets
+    ``stats.no_confidence``.
 
     Iterative deepening on the total size: for ``b`` over ``_levels``, the
-    branches of at most ``b`` arcs, ``branches(b)`` (one completion per
-    alternating face, pruned against ``b``), are tried smallest first, and
-    the first one that completes within ``b`` is the answer: every smaller
-    budget answered no, so it is minimum.  A branch not strong on the
-    component DAG is resolved in the simple faces, from their lists
-    ``candidates(face)``, by ``_simple_search`` or ``sample(branch, simple,
-    budget)``.  ``arc_mode`` says which pairs a branch blocks: adjacent
-    ones in oriented mode, arcs in directed mode."""
-    levels = _levels(D, k, arc_mode)
-    if not levels:
-        return None
-    simple = [(f, cs) for f in fa.simple_faces(D) if (cs := candidates(f))]
-    complete = (lambda br, budget: sample(br, simple, budget)) if sample \
-        else _simple_search(D, simple, arc_mode, stats)
+    branches of at most ``b`` arcs (one supported completion per
+    alternating face, ``completion_enum.alternating_branches``) are tried
+    smallest first, and the first one that completes within ``b`` is the
+    answer.  A branch not strong on the component DAG is completed in the
+    simple faces by ``_simple_montecarlo``: the candidate-arc dijoin
+    reduction on ``trials`` random candidate assignments."""
+    levels = _levels(D, k, pg.MODE_ORIENTED)
+    simple = [(f, cs) for f in fa.simple_faces(D) if levels
+              and (cs := ce.simple_face_candidates(D, f))]
+    sampled = False
     for b in levels:
-        for parts in sorted(branches(b), key=lambda ps: sum(map(len, ps))):
+        branches = ce.alternating_branches(D, b, minimal_only=True)
+        for parts in sorted(branches, key=lambda ps: sum(map(len, ps))):
             stats.branches += 1
             size = sum(map(len, parts))
             arcs = [a for c in parts for a in c.arcs]
@@ -551,12 +550,16 @@ def _branch_loop(
             if b - size < floor or not simple:
                 continue
             blocked = set(D.arcs).union(ends)
-            if arc_mode == pg.MODE_ORIENTED:
-                blocked |= {(v, u) for u, v in blocked}
-            found = complete(_Branch(ends, blocked, sources, sinks, floor),
-                             b - size)
+            blocked |= {(v, u) for u, v in blocked}
+            found, walked = _simple_montecarlo(
+                D, _Branch(ends, blocked, sources, sinks, floor), simple,
+                b - size, stats, trials, rng)
+            sampled = sampled or not walked
             if found is not None:
                 return pairs + found
+    # a no is exact unless some branch was sampled
+    stats.no_confidence = sampling_confidence(
+        trials, [len(cs) for _, cs in simple], k) if sampled else 1.0
     return None
 
 
@@ -576,14 +579,15 @@ def solve_oriented(
 
     Deepens the budget ``b`` from the Eswaran-Tarjan floor to ``k`` and
     stops at the first ``b`` that answers yes, so a large ``k`` costs what
-    the optimum costs.  At each ``b`` it branches over the supported
-    completions of the alternating faces whose Eswaran-Tarjan floor is
-    at most ``b``; the remainder lives in the instance's simple faces.
-    The exact mode resolves it by one search over their candidate arcs,
-    driven by the terminal sides of the component DAG; with
-    ``method="montecarlo"`` it is resolved through the candidate-arc
-    dijoin reduction on one random candidate per face and trial (a yes
-    is always certified, a no may err).
+    the optimum costs.  The exact mode runs, at each ``b``, one covering
+    search over the arcs of the supported completions of every open face
+    (at most ``b`` arcs in an alternating face, the candidate lists in a
+    simple face), driven by the terminal sides of the component DAG
+    (``_cover``).  With ``method="montecarlo"`` it keeps the paper's
+    branching over the alternating faces' completions and resolves each
+    branch in the simple faces through the candidate-arc dijoin reduction
+    on one random candidate per face and trial (``_branch_loop``; a yes is
+    always certified, a no may err).
     """
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
@@ -591,41 +595,29 @@ def solve_oriented(
     if sc.is_strong(D):
         return _report(pg.MODE_ORIENTED, k, stats, pg.EMPTY_COMPLETION)
     exact = method == "exhaustive"
-    # the exhaustive mode is exact and deterministic, so its outcomes are
-    # budget-monotone facts about the instance and can be reused
-    memo = _memo(D, pg.MODE_ORIENTED)
-    known, witness = memo.lookup(k) if exact else (False, None)
-    if known:
-        return _report(pg.MODE_ORIENTED, k, stats, witness)
-    sampled = False
-    if not exact:
-        trials = default_trials(k) if trials is None else trials
-        rng = random.Random(seed)
-
-        def sample(branch, simple, budget):
-            nonlocal sampled
-            found, walked = _simple_montecarlo(D, branch, simple, budget,
-                                               stats, trials, rng)
-            sampled = sampled or not walked
-            return found
-
-    best = _branch_loop(
-        D, lambda b: ce.alternating_branches(D, b, minimal_only=True),
-        lambda f: ce.simple_face_candidates(D, f), k, pg.MODE_ORIENTED,
-        stats, None if exact else sample,
-    )
+    if exact:
+        # the exhaustive mode is exact and deterministic, so its outcomes
+        # are budget-monotone facts about the instance and can be reused
+        memo = _memo(D, pg.MODE_ORIENTED)
+        known, witness = memo.lookup(k)
+        if known:
+            return _report(pg.MODE_ORIENTED, k, stats, witness)
+        best = _cover(D, k, pg.MODE_ORIENTED, lambda b: [
+            list(ce.supported_completions(D, f, b, minimal_only=True,
+                                          bounded=True))
+            for f in fa.alternating_faces(D)
+        ] + [ce.simple_face_candidates(D, f) for f in fa.simple_faces(D)],
+            stats)
+    else:
+        best = _branch_loop(D, k, stats,
+                            default_trials(k) if trials is None else trials,
+                            random.Random(seed))
+    witness = None
     if best is not None:
         witness = D.completion_from_darts(best)
         ok, diag = verify_solution(D, witness, pg.MODE_ORIENTED)
         if not ok:  # pragma: no cover - guarded by construction
             raise AssertionError(f"solver produced invalid witness: {diag}")
-    elif not exact:
-        # a no is exact unless some branch was sampled; then report the
-        # per-branch confidence 1 - (1 - p)^trials, kept from rounding away
-        p = PINNED_SIMPLE_CANDIDATE_BOUND ** (-k)
-        stats.no_confidence = (
-            -math.expm1(max(trials, 1) * math.log1p(-p)) if sampled else 1.0
-        )
     if exact:
         memo.record(k, witness)
     return _report(pg.MODE_ORIENTED, k, stats, witness)
@@ -643,21 +635,20 @@ def _solve_directed_part(
     or None when it exceeds ``kmax``."""
     if sc.is_strong(part):
         return []
-    faces = fa.alternating_faces(part)
-    return _branch_loop(
-        part, lambda b: ce.directed_joint_branches(part, faces, b),
-        lambda f: ce.directed_supported_completions(part, f, 1)[1:],
-        kmax, pg.MODE_DIRECTED, stats,
-    )
+    return _cover(part, kmax, pg.MODE_DIRECTED, lambda b: [
+        ce.directed_supported_completions(part, f, b, bounded=True)
+        for f in range(part.f)
+    ], stats)
 
 
 def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
     """Minimum digon-allowed augmentation within budget ``k``.
 
     Pipeline: contract strong components (plane-preserving), split the
-    DAG-with-loops along its loops, solve each loopless part by branching
-    over digon-allowed completions of alternating faces plus the search
-    on simple faces, then recombine budgets and lift the witness back.
+    DAG-with-loops along its loops, solve each loopless part by one
+    covering search per budget over the arcs of the digon-allowed
+    completions of its faces (``_cover``), then recombine budgets and
+    lift the witness back.
     """
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")

@@ -138,6 +138,51 @@ def terminal_sides(n: int, arcs) -> tuple[list[int], list[int]]:
     return sources, sinks
 
 
+def cover_search(n: int, arcs, cands, cap: int, usable=None):
+    """The first set of at most ``cap`` candidate arcs (vertex pairs) that
+    makes the digraph on ``n`` vertices with ``arcs`` strongly connected,
+    as candidate indices in the order they were chosen, or None; and the
+    number of search nodes it took.
+
+    Covering branch (Eswaran & Tarjan, SIAM J. Comput. 1976): a graph that
+    is not strong needs an arc entering each source component and one
+    leaving each sink, and one arc serves at most one of each, so a node
+    with more terminal sides on one side than the room it has left fails.
+    Otherwise it branches, in index order, over the candidates that fix
+    the terminal side the fewest of them fix, among those ``usable(chosen,
+    i)`` accepts (all when None).  A candidate an earlier sibling tried is
+    skipped below the later ones: every set holding it was searched there.
+    So every set of at most ``cap`` arcs that makes the graph strong is
+    reached, provided ``usable`` accepts each of its arcs next to any
+    subset of the others; with the cap raised from a floor, the first cap
+    that succeeds is the minimum."""
+    chosen: list[int] = []
+    nodes = 0
+
+    def search(room: int, tried: frozenset) -> bool:
+        nonlocal nodes
+        nodes += 1
+        sources, sinks = terminal_sides(
+            n, [*arcs, *(cands[i] for i in chosen)])
+        if not sources or max(len(sources), len(sinks)) > room:
+            return not sources
+        free = [i for i in range(len(cands)) if i not in tried
+                and (usable is None or usable(chosen, i))]
+        # a source needs an arc entering it, a sink one leaving it
+        for i in min(([i for i in free if side >> cands[i][into] & 1
+                       and not side >> cands[i][1 - into] & 1]
+                      for side, into in [(s, 1) for s in sources]
+                      + [(s, 0) for s in sinks]), key=len):
+            chosen.append(i)
+            if search(room - 1, tried):
+                return True
+            chosen.pop()
+            tried |= {i}
+        return False
+
+    return (chosen if search(cap, frozenset()) else None), nodes
+
+
 def scc(D: pg.PlaneDigraph) -> SccPartition:
     """Strong components with terminal (source/sink) flags.
 

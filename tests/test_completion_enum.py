@@ -277,39 +277,6 @@ def test_reachability_matches_naive_closure():
         assert all(cu > cv for cu, cv in sc.scc(D).comp_arcs)
 
 
-def joint_branches_reference(D, faces, k):
-    """Every product of per-face completions with at most k arcs in total,
-    no two equal arcs and an Eswaran-Tarjan floor of at most k, in product
-    order."""
-    per_face = [ce.directed_supported_completions(D, f, k) for f in faces]
-    floor = floor_reference(D)
-    out = []
-    for combo in itertools.product(*per_face):
-        ends = [a.ends for c in combo for a in c.arcs]
-        if len(ends) <= k and len(set(ends)) == len(ends) and floor(ends) <= k:
-            out.append(combo)
-    return out
-
-
-def test_directed_joint_branches_match_product_reference(alternating_octagon):
-    # the octagon's two faces hold 897 completions each at k = 2, so its
-    # product is only walked at k = 1 (where its floor of 4 prunes it all);
-    # twelve seeds give five parts with two faces and several branches
-    cases = [(alternating_octagon, 1)]
-    for n in (7, 8):
-        for seed in range(12):
-            D = pog_io.gen_random(n, n + 1 + seed % 3, seed)
-            for p in sc.split_loops(sc.condense(D).condensed):
-                cases += [(p.graph, k) for k in (1, 2, 3)]
-    multi_face = 0
-    for part, k in cases:
-        faces = fa.alternating_faces(part)
-        got = list(ce.directed_joint_branches(part, faces, k))
-        assert got == joint_branches_reference(part, faces, k)
-        multi_face += len(faces) >= 2 and len(got) > 1
-    assert multi_face >= 4
-
-
 def test_bounded_per_face_lists_match_filter():
     # the per-face bound drops exactly the non-empty arc sets over the
     # floor, keeping the order; the empty completion always comes first

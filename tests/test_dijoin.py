@@ -7,6 +7,7 @@ from orient_augment import dijoin as dj
 from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import solvers as sv
+from orient_augment import strongconn as sc
 from orient_augment.errors import NonGadgetArcInY, UnknownArc
 
 
@@ -81,6 +82,81 @@ def test_min_dijoin_matches_subset_brute():
             else:
                 assert got is not None and len(got) == want
                 assert dj.is_dijoin(g, got)
+
+
+def min_dijoin_reference(g, k, reversible=None):
+    """``min_dijoin_upto`` as it was before it ran on
+    ``strongconn.cover_search``: the same covering branch, without
+    skipping the arcs an earlier sibling tried."""
+    allowed = (
+        set(range(len(g.arcs))) if reversible is None else set(reversible)
+    )
+    base = list(g.arcs)
+
+    def search(budget, chosen):
+        arcs = base + [(v, u) for (u, v) in (g.arcs[a] for a in chosen)]
+        sources, sinks = sc.terminal_sides(g.n, arcs)
+        if not sources and not sinks:
+            return list(chosen)
+        if max(len(sources), len(sinks)) > budget:
+            return None
+        free = [(a, g.arcs[a]) for a in sorted(allowed.difference(chosen))]
+        best_cands = None
+        for side, into in [(s, 0) for s in sources] + [(s, 1) for s in sinks]:
+            cands = [
+                a for a, ends in free
+                if (side >> ends[into]) & 1 and not (side >> ends[1 - into]) & 1
+            ]
+            if best_cands is None or len(cands) < len(best_cands):
+                best_cands = cands
+        if not best_cands:
+            return None
+        for a in best_cands:
+            chosen.append(a)
+            res = search(budget - 1, chosen)
+            if res is not None:
+                return res
+            chosen.pop()
+        return None
+
+    for b in range(0, k + 1):
+        res = search(b, [])
+        if res is not None:
+            return res
+    return None
+
+
+def test_min_dijoin_returns_the_reference_witness():
+    # the same arcs in the same order, so Monte-Carlo witnesses stay put
+    multi = 0
+    for g in random_digraphs(150):
+        for k in (0, 1, 2, 3):
+            got = dj.min_dijoin_upto(g, k)
+            assert got == min_dijoin_reference(g, k)
+            multi += got is not None and len(got) >= 2
+    assert multi >= 40
+
+
+def test_min_dijoin_on_gadget_arcs_returns_the_reference_witness():
+    from orient_augment import enumerate_plane as ep
+
+    yes = no = 0
+    for D in ep.oriented_corpus(5)[::9]:
+        lists = [(f, ce.simple_face_candidates(D, f))
+                 for f in fa.simple_faces(D)][:3]
+        lists = [(f, cs) for f, cs in lists if cs]
+        for pick in range(3):
+            allowed = {f: cs[pick % len(cs)] for f, cs in lists}
+            for k in (1, 2, 3):
+                for subdivision in (False, True):
+                    inst = dj.build_auxiliary(D, allowed, k, subdivision)
+                    got = dj.min_dijoin_upto(
+                        inst.graph, k, reversible=inst.reversible)
+                    assert got == min_dijoin_reference(
+                        inst.graph, k, reversible=inst.reversible)
+                    yes += got is not None and len(got) >= 2
+                    no += got is None
+    assert yes >= 20 and no >= 20
 
 
 def test_auxiliary_without_candidates_mirrors_strongness(path3, triangle):

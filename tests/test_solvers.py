@@ -141,21 +141,32 @@ def test_montecarlo_no_confidence_when_sampled():
     D = ep.oriented_corpus(5)[42]
     rep = sv.solve_oriented(fresh(D), 1, method="montecarlo", trials=1, seed=0)
     assert not rep.verdict and rep.stats.trials == 1
-    p = 1 / sv.PINNED_SIMPLE_CANDIDATE_BOUND
-    assert rep.stats.no_confidence == pytest.approx(p)
+    # one assignment of the two faces' candidate lists, of two members
+    # each; a solution of one arc lies in one of them
+    assert rep.stats.no_confidence == pytest.approx(1 / 2)
     # a yes and an exhaustive no carry no confidence
     assert sv.solve_oriented(fresh(D), 2, method="montecarlo", seed=0).stats.no_confidence is None
     assert sv.solve_oriented(fresh(D), 1).stats.no_confidence is None
 
 
 def test_montecarlo_no_confidence_keeps_tiny_p():
-    # 1 - (1 - p)^trials rounds to 0.0 once p = 700^-k drops below 1.1e-16
+    # at k = 6 the solution may touch both two-member lists: p = 1/4
     D = ep.oriented_corpus(5)[42]
     rep = sv.solve_oriented(fresh(D), 6, method="montecarlo", trials=1, seed=0)
     assert not rep.verdict and rep.stats.trials >= 1
-    p = sv.PINNED_SIMPLE_CANDIDATE_BOUND ** -6
-    assert rep.stats.no_confidence > 0
-    assert rep.stats.no_confidence == pytest.approx(p)
+    assert rep.stats.no_confidence == pytest.approx(1 / 4)
+
+
+def test_sampling_confidence_takes_the_longest_lists():
+    # 1 - (1 - p)^trials rounds to 0.0 once p drops below 1.1e-16
+    p = 1e-6 ** 3
+    assert sv.sampling_confidence(1, [10 ** 6] * 4 + [2], 3) == pytest.approx(p)
+    assert sv.sampling_confidence(1, [10 ** 6] * 4 + [2], 3) > 0
+    assert sv.sampling_confidence(10, [3, 700, 5], 2) == pytest.approx(
+        1 - (1 - 1 / 3500) ** 10)
+    # fewer lists than k: every list counts once
+    assert sv.sampling_confidence(1, [23968, 2], 3) == pytest.approx(
+        1 / 47936)
 
 
 def test_default_trials_is_exact_past_the_float_range():
@@ -233,21 +244,23 @@ def test_condensation_contrast():
 @pytest.mark.parametrize("solve", [sv.solve_oriented, sv.solve_directed])
 def test_large_budget_costs_what_the_optimum_costs(alternating_octagon, solve):
     # iterative deepening stops at the optimum, so raising k past it adds
-    # no branch; each solve gets a fresh graph (no reused outcomes)
+    # no search node; each solve gets a fresh graph (no reused outcomes)
     at_opt = solve(alternating_octagon, 4)
     at_large = solve(fresh(alternating_octagon), 100)
     assert at_opt.optimum == at_large.optimum == 4
-    assert at_opt.stats.branches == at_large.stats.branches > 0
+    assert at_opt.stats.search_nodes == at_large.stats.search_nodes > 0
+    assert at_opt.stats.branches == at_large.stats.branches == 0
 
 
 @pytest.mark.parametrize("n, m, seed", [(10, 9, 375), (12, 14, 2)])
 @pytest.mark.parametrize("solve", [sv.solve_oriented, sv.solve_directed])
 def test_sparse_no_instances_enumerate_no_branch(n, m, seed, solve):
     # both sparse graphs have more terminal components on one side than
-    # k = 3, so the Eswaran-Tarjan floor answers before any branch
+    # k = 3, so the Eswaran-Tarjan floor answers before any search
     rep = solve(pog_io.gen_random(n, m, seed=seed), 3)
     assert not rep.verdict and rep.optimum is None
     assert rep.stats.branches == 0
+    assert rep.stats.search_nodes == 0
 
 
 DATA = pathlib.Path(__file__).parent / "data"

@@ -177,6 +177,31 @@ def _canonical_walk(walk):
     return tuple(walk[i:] + walk[:i])
 
 
+def test_cover_search_takes_the_first_set_in_index_order():
+    # the path 0 -> 1 -> 2: its source {0} is entered by candidates 0 and
+    # 1, its sink {2} left by 0 and 2, so the search tries candidate 0
+    path = [(0, 1), (1, 2)]
+    cands = [(2, 0), (1, 0), (2, 1)]
+    assert sc.cover_search(3, path, cands, 1) == ([0], 2)
+    assert sc.cover_search(3, path, cands, 0) == (None, 1)
+    assert sc.cover_search(3, path + [(2, 0)], cands, 0) == ([], 1)
+
+
+def test_cover_search_keeps_to_usable_candidates():
+    path = [(0, 1), (1, 2)]
+    cands = [(2, 0), (1, 0), (2, 1)]
+    seen = []
+
+    def usable(chosen, i):
+        seen.append((tuple(chosen), i))
+        return i != 0
+
+    assert sc.cover_search(3, path, cands, 1, usable)[0] is None
+    assert sc.cover_search(3, path, cands, 2, usable)[0] == [1, 2]
+    # usable is asked next to the arcs chosen so far
+    assert ((1,), 2) in seen
+
+
 def test_condense_keeps_faces():
     contracted = 0
     for D in _condense_cases():
