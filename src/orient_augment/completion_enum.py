@@ -5,13 +5,16 @@ exact covering search draws arcs from), candidate lists for simple faces
 (small constant lists), and the digon-allowed variant where completions
 attach only to local terminal angles of an acyclic instance; plus the
 joint branches over alternating faces that the Monte-Carlo mode walks.
+Both per-face lists come from one kernel, ``_noncrossing``: a depth-first
+walk over bitmasks of candidate arcs that keeps the Eswaran-Tarjan floor
+as the set grows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from . import face_analysis as fa
 from . import plane_graph as pg
@@ -29,13 +32,9 @@ from .strongconn import scc
 def triangulations(m: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """All triangulations of a convex polygon on vertices 0..m-1, as sets
     of chords; there are exactly catalan(m - 2) of them."""
-    if m < 3:
-        return (frozenset(),)
 
     def rec(points: tuple[int, ...]) -> list[frozenset]:
-        if len(points) < 3:
-            return [frozenset()]
-        if len(points) == 3:
+        if len(points) <= 3:
             return [frozenset()]
         out = []
         a, b = points[0], points[1]
@@ -84,8 +83,7 @@ def is_supported(
     for f, endpoint_positions in by_face.items():
         if face is not None and f != face:
             continue
-        dec = fa.decompose_face(D, f)
-        ivs = dec.intervals()
+        ivs = fa.decompose_face(D, f).intervals()
         if not ivs:
             return False  # endpoints in a strong face are never supported
         for iv in ivs:
@@ -118,12 +116,10 @@ def supported_completions(
     yield pg.EMPTY_COMPLETION
     if budget <= 0:
         return
-    dec = fa.decompose_face(D, face)
-    ivs = dec.intervals()
+    ivs = fa.decompose_face(D, face).intervals()
     if not ivs:
         return
     walk = D.faces[face]
-    r = len(walk)
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
     reach = _reachability(D) if minimal_only else None
@@ -142,55 +138,107 @@ def supported_completions(
         pool |= sp.support_pool(D, iv, 2 * budget)
     # row-major over positions, as sorted(pool) x sorted(pool) was
     cands = [c for c in cands if c[0] in pool and c[1] in pool]
-    part = scc(D)
     # a completion holds at most one arc per unordered vertex pair (no
     # parallel or digon); with minimal_only, per strong-component pair
-    label: Sequence[int] = part.component if minimal_only else range(D.n)
-    pair_of = [frozenset((label[u], label[v])) for (_, _, u, v) in cands]
-    used_pairs: set[frozenset[int]] = set()
-    iv_of: dict[int, fa.Interval] = {}
-    for iv in ivs:
-        for p in iv.positions:
-            iv_of[p] = iv
+    label: Sequence[int] = scc(D).component if minimal_only else range(D.n)
+    iv_at = {p: t for t, iv in enumerate(ivs) for p in iv.positions}
+    memo: dict[int, bool] = {}      # endpoint positions on one interval
 
-    chosen: list[tuple[int, int, int, int]] = []
-
-    def check_supported() -> bool:
-        per_iv: dict[tuple, list[int]] = {}
-        for (i, j, _, _) in chosen:
-            per_iv.setdefault(iv_of[i].positions, []).append(i)
-            per_iv.setdefault(iv_of[j].positions, []).append(j)
-        for iv in ivs:
-            pts = per_iv.get(iv.positions)
-            if pts and not sp.is_supported_on_interval(D, iv, pts):
+    def supported(chosen: list[int]) -> bool:
+        on: dict[int, int] = {}     # interval index -> endpoint positions
+        for x in chosen:
+            for p in cands[x][:2]:
+                on[iv_at[p]] = on.get(iv_at[p], 0) | 1 << p
+        for t, w in on.items():
+            if w not in memo:
+                memo[w] = sp.is_supported_on_interval(
+                    D, ivs[t], [p for p in ivs[t].positions if w >> p & 1])
+            if not memo[w]:
                 return False
         return True
 
-    def rec(start: int) -> Iterator[pg.Completion]:
-        for idx in range(start, len(cands)):
-            i, j, _, _ = cands[idx]
-            pair = pair_of[idx]
-            if pair in used_pairs or any(
-                pg.chords_cross(r, i, j, i2, j2) for (i2, j2, _, _) in chosen
-            ):
-                continue
-            chosen.append(cands[idx])
-            if bounded and part.solution_floor(
-                [(u, v) for (_, _, u, v) in chosen]
-            ) > budget:
-                chosen.pop()
-                continue
-            used_pairs.add(pair)
-            if check_supported():
-                yield D.completion_from_darts(
-                    [(walk[a], walk[b]) for (a, b, _, _) in chosen]
-                )
-            if len(chosen) < budget:
-                yield from rec(idx + 1)
-            chosen.pop()
-            used_pairs.discard(pair)
+    pairs = [frozenset((label[u], label[v])) for _, _, u, v in cands]
+    yield from _noncrossing(D, walk, cands, pairs, budget, bounded, supported)
 
-    yield from rec(0)
+
+def _noncrossing(
+    D: pg.PlaneDigraph,
+    walk: Sequence[int],
+    cands: list[tuple[int, int, int, int]],
+    pair: Sequence[Hashable],
+    budget: int,
+    bounded: bool,
+    accept: Optional[Callable[[list[int]], bool]] = None,
+) -> list[pg.Completion]:
+    """The enumeration kernel of both modes: the completions of the sets of
+    at most ``budget`` candidate arcs (walk positions i, j, vertices u, v)
+    that cross nowhere and hold at most one arc per pair id ``pair[x]``,
+    depth first in candidate order, that ``accept`` takes (all when None).
+
+    A node's children are one bitmask: the later candidates no chosen one
+    excludes.  A chord excludes those with one end strictly on each side of
+    it, read off per-position candidate masks, and those of its pair id.
+    With ``bounded`` a set is dropped with its supersets when its
+    Eswaran-Tarjan floor (``SccPartition.solution_floor``: its size plus
+    max(a, b), for a sources no arc of it enters and b sinks none leaves)
+    exceeds ``budget``.  An arc lowers a by one when it enters a source not
+    yet entered, so where a reaches the room left the children are masked
+    to those arcs (b likewise), and no dropped set is visited."""
+    r = len(walk)
+    part = scc(D)
+    comp = part.component
+    # source -> candidates entering it, sink -> those leaving it
+    into = dict.fromkeys(part.sources if bounded else (), 0)
+    out_of = dict.fromkeys(part.sinks if bounded else (), 0)
+    same: dict[Hashable, int] = {}
+    at = [0] * r                                # position -> arcs ending there
+    for x, (i, j, u, v) in enumerate(cands):
+        if comp[u] != comp[v] and comp[v] in into:
+            into[comp[v]] |= 1 << x
+        if comp[u] != comp[v] and comp[u] in out_of:
+            out_of[comp[u]] |= 1 << x
+        same[pair[x]] = same.get(pair[x], 0) | 1 << x
+        at[i] |= 1 << x
+        at[j] |= 1 << x
+    excluded: list[Optional[int]] = [None] * len(cands)
+    out: list[pg.Completion] = []
+    chosen: list[int] = []
+
+    def rec(free: int, room: int, a: int, b: int, fresh_in: int,
+            fresh_out: int) -> None:
+        if a > room or b > room:
+            return
+        if a == room:
+            free &= fresh_in
+        if b == room:
+            free &= fresh_out
+        while free:
+            low = free & -free
+            free ^= low
+            x = low.bit_length() - 1
+            chosen.append(x)
+            if accept is None or accept(chosen):
+                out.append(D.completion_from_darts(
+                    [(walk[cands[y][0]], walk[cands[y][1]]) for y in chosen]))
+            if room > 1 and free:
+                i, j, u, v = cands[x]
+                if excluded[x] is None:
+                    inside = outside = 0
+                    for t in range(1, (j - i) % r):
+                        inside |= at[(i + t) % r]
+                    for t in range(1, (i - j) % r):
+                        outside |= at[(j + t) % r]
+                    excluded[x] = inside & outside | same[pair[x]]
+                rec(free & ~excluded[x], room - 1,
+                    a - (fresh_in & low != 0), b - (fresh_out & low != 0),
+                    fresh_in & ~(into[comp[v]] if fresh_in & low else 0),
+                    fresh_out & ~(out_of[comp[u]] if fresh_out & low else 0))
+            chosen.pop()
+
+    # each candidate enters one component and leaves one: sums are unions
+    rec((1 << len(cands)) - 1, budget, len(into), len(out_of),
+        sum(into.values()), sum(out_of.values()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +304,16 @@ def alternating_branches(
         for f in faces
     ]
     part = scc(D)
-    comp_of = part.component
+    # no vertex pair is joined twice across faces; with minimal_only no
+    # strong-component pair (which holds every vertex pair in it)
+    label: Sequence[int] = part.component if minimal_only else range(D.n)
     chosen: list[pg.Completion] = []
     ends: list[tuple[int, int]] = []
 
     def legal(cand: pg.Completion) -> bool:
-        pairs = set(ends)
-        comp_pairs = set()
-        for u, v in ends:
-            cu, cv = comp_of[u], comp_of[v]
-            comp_pairs.add((cu, cv) if cu <= cv else (cv, cu))
-        for a in cand.arcs:
-            u, v = a.ends
-            if (u, v) in pairs or (v, u) in pairs:
-                return False
-            if minimal_only:
-                cu, cv = comp_of[u], comp_of[v]
-                if ((cu, cv) if cu <= cv else (cv, cu)) in comp_pairs:
-                    return False
-        return True
+        taken = {frozenset((label[u], label[v])) for u, v in ends}
+        return all(frozenset((label[u], label[v])) not in taken
+                   for u, v in (a.ends for a in cand.arcs))
 
     def rec(i: int, budget: int) -> Iterator[tuple[pg.Completion, ...]]:
         # with minimal_only, a choice whose Eswaran-Tarjan floor exceeds k
@@ -340,51 +379,10 @@ def directed_supported_completions(
     dec = fa.decompose_face(D, face)
     positions = sorted(p for t in dec.terminals for p in t.positions)
     walk = D.faces[face]
-    r = len(walk)
+    ends = [(p, D.dart_vertex(walk[p])) for p in positions]
     reach = _reachability(D)
-    part = scc(D)
-    cands = []
-    for i in positions:
-        for j in positions:
-            if i == j:
-                continue
-            u = D.dart_vertex(walk[i])
-            v = D.dart_vertex(walk[j])
-            if u == v or D.has_arc(u, v):
-                continue
-            if (reach[u] >> v) & 1:
-                continue  # redundant: v already reachable from u
-            cands.append((i, j, u, v))
-
-    out: list[pg.Completion] = [pg.EMPTY_COMPLETION]
-    chosen: list[tuple[int, int, int, int]] = []
-
-    def rec(start: int) -> None:
-        for idx in range(start, len(cands)):
-            i, j, u, v = cands[idx]
-            ok = True
-            for (i2, j2, u2, v2) in chosen:
-                if pg.chords_cross(r, i, j, i2, j2):
-                    ok = False
-                    break
-                if (u, v) == (u2, v2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(cands[idx])
-            if bounded and part.solution_floor(
-                [(x, y) for (_, _, x, y) in chosen]
-            ) > budget:
-                chosen.pop()
-                continue
-            out.append(D.completion_from_darts(
-                [(walk[a], walk[b]) for (a, b, _, _) in chosen]
-            ))
-            if len(chosen) < budget:
-                rec(idx + 1)
-            chosen.pop()
-
-    if budget > 0:
-        rec(0)
-    return out
+    # the vertex itself, and the head of an existing arc, are reached too
+    cands = [(i, j, u, v) for i, u in ends for j, v in ends
+             if not reach[u] >> v & 1]
+    return [pg.EMPTY_COMPLETION, *_noncrossing(
+        D, walk, cands, [(u, v) for _, _, u, v in cands], budget, bounded)]

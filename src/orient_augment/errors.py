@@ -101,4 +101,5 @@ class ParseError(OrientAugmentError):
 
 
 class InfeasibleParameters(OrientAugmentError):
-    """Random generator parameters are outside planar bounds."""
+    """A parameter is out of range: random generator sizes outside planar
+    bounds, a negative budget, an unknown solve method, or no trials."""

@@ -24,7 +24,7 @@ from . import dijoin as dj
 from . import face_analysis as fa
 from . import plane_graph as pg
 from . import strongconn as sc
-from .errors import BudgetTooLargeForOracle, Disconnected
+from .errors import BudgetTooLargeForOracle, Disconnected, InfeasibleParameters
 
 DEFAULT_ORACLE_LIMITS = (10, 4)  # max vertices, max budget
 
@@ -103,6 +103,11 @@ def verify_solution(
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
+
+
+def _check_budget(k: int) -> None:
+    if k < 0:
+        raise InfeasibleParameters(f"budget k = {k} is negative")
 
 
 def _closure(n: int, adj: list[int]) -> list[int]:
@@ -221,6 +226,7 @@ def brute_solve(
     component pair (any minimum solution has this form), and crossings and
     duplicates are pruned incrementally.
     """
+    _check_budget(k)
     if D.n > limits[0] or k > limits[1]:
         raise BudgetTooLargeForOracle(
             f"oracle limits are n<={limits[0]}, k<={limits[1]}"
@@ -510,7 +516,7 @@ def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
     of at most ``k`` arcs lies in.  It touches at most ``k`` lists, so p
     is the product of 1 / size over the min(k, len(sizes)) longest."""
     p = math.prod(1 / s for s in sorted(sizes, reverse=True)[:k])
-    return -math.expm1(max(trials, 1) * math.log1p(-p))
+    return -math.expm1(trials * math.log1p(-p))
 
 
 def _branch_loop(
@@ -587,8 +593,15 @@ def solve_oriented(
     branching over the alternating faces' completions and resolves each
     branch in the simple faces through the candidate-arc dijoin reduction
     on one random candidate per face and trial (``_branch_loop``; a yes is
-    always certified, a no may err).
+    always certified, a no may err).  A negative ``k``, another ``method``
+    or fewer than one trial raise ``InfeasibleParameters``.
     """
+    _check_budget(k)
+    if method not in ("exhaustive", "montecarlo"):
+        raise InfeasibleParameters(
+            f"unknown method {method!r}: use 'exhaustive' or 'montecarlo'")
+    if trials is not None and trials < 1:
+        raise InfeasibleParameters(f"trials = {trials}: at least 1 is needed")
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
     stats = SolveStats(seed=seed)
@@ -650,6 +663,7 @@ def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
     completions of its faces (``_cover``), then recombine budgets and
     lift the witness back.
     """
+    _check_budget(k)
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
     stats = SolveStats()

@@ -166,11 +166,13 @@ def cover_search(n: int, arcs, cands, cap: int, usable=None):
             n, [*arcs, *(cands[i] for i in chosen)])
         if not sources or max(len(sources), len(sinks)) > room:
             return not sources
-        free = [i for i in range(len(cands)) if i not in tried
-                and (usable is None or usable(chosen, i))]
-        # a source needs an arc entering it, a sink one leaving it
-        for i in min(([i for i in free if side >> cands[i][into] & 1
-                       and not side >> cands[i][1 - into] & 1]
+        # a source needs an arc entering it, a sink one leaving it; usable,
+        # the dearest test, is asked only about untried arcs that fix one
+        for i in min(([i for i in range(len(cands))
+                       if side >> cands[i][into] & 1
+                       and not side >> cands[i][1 - into] & 1
+                       and i not in tried
+                       and (usable is None or usable(chosen, i))]
                       for side, into in [(s, 1) for s in sources]
                       + [(s, 0) for s in sinks]), key=len):
             chosen.append(i)

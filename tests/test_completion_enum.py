@@ -8,6 +8,7 @@ from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import strongconn as sc
+from orient_augment import supports as sp
 from orient_augment.errors import NotSimpleFace
 
 
@@ -301,3 +302,148 @@ def test_bounded_per_face_lists_match_filter():
                 assert list(map(arcs_of, got)) == list(map(arcs_of, want))
                 checked += len(want) > 1
     assert checked > 20
+
+
+# ---------------------------------------------------------------------------
+# the enumeration kernel vs. the two recursions it replaced
+# ---------------------------------------------------------------------------
+
+
+def supported_completions_reference(D, face, budget, minimal_only=False,
+                                    bounded=False):
+    """One recursion per node over the later candidates, checking pairs,
+    crossings, the floor and support from scratch at every node."""
+    yield pg.EMPTY_COMPLETION
+    if budget <= 0:
+        return
+    ivs = fa.decompose_face(D, face).intervals()
+    if not ivs:
+        return
+    walk = D.faces[face]
+    r = len(walk)
+    vert = [D.dart_vertex(d) for d in walk]
+    _, nbr = D.adjacency()
+    reach = ce._reachability(D) if minimal_only else None
+    cands = []
+    for i, u in enumerate(vert):
+        blocked = nbr[u] | 1 << u | (reach[u] if minimal_only else 0)
+        for j, v in enumerate(vert):
+            if not blocked >> v & 1:
+                cands.append((i, j, u, v))
+    pool = set()
+    for iv in ivs:
+        pool |= sp.support_pool(D, iv, 2 * budget)
+    cands = [c for c in cands if c[0] in pool and c[1] in pool]
+    part = sc.scc(D)
+    label = part.component if minimal_only else range(D.n)
+    pair_of = [frozenset((label[u], label[v])) for (_, _, u, v) in cands]
+    used_pairs = set()
+    iv_of = {p: iv for iv in ivs for p in iv.positions}
+    chosen = []
+
+    def check_supported():
+        per_iv = {}
+        for (i, j, _, _) in chosen:
+            per_iv.setdefault(iv_of[i].positions, []).append(i)
+            per_iv.setdefault(iv_of[j].positions, []).append(j)
+        return all(sp.is_supported_on_interval(D, iv, per_iv[iv.positions])
+                   for iv in ivs if iv.positions in per_iv)
+
+    def rec(start):
+        for idx in range(start, len(cands)):
+            i, j, _, _ = cands[idx]
+            pair = pair_of[idx]
+            if pair in used_pairs or any(
+                pg.chords_cross(r, i, j, i2, j2) for (i2, j2, _, _) in chosen
+            ):
+                continue
+            chosen.append(cands[idx])
+            if bounded and part.solution_floor(
+                [(u, v) for (_, _, u, v) in chosen]
+            ) > budget:
+                chosen.pop()
+                continue
+            used_pairs.add(pair)
+            if check_supported():
+                yield D.completion_from_darts(
+                    [(walk[a], walk[b]) for (a, b, _, _) in chosen])
+            if len(chosen) < budget:
+                yield from rec(idx + 1)
+            chosen.pop()
+            used_pairs.discard(pair)
+
+    yield from rec(0)
+
+
+def directed_supported_completions_reference(D, face, budget, bounded=False):
+    dec = fa.decompose_face(D, face)
+    positions = sorted(p for t in dec.terminals for p in t.positions)
+    walk = D.faces[face]
+    r = len(walk)
+    reach = ce._reachability(D)
+    part = sc.scc(D)
+    cands = []
+    for i in positions:
+        for j in positions:
+            u, v = D.dart_vertex(walk[i]), D.dart_vertex(walk[j])
+            if i == j or u == v or D.has_arc(u, v) or reach[u] >> v & 1:
+                continue
+            cands.append((i, j, u, v))
+    out = [pg.EMPTY_COMPLETION]
+    chosen = []
+
+    def rec(start):
+        for idx in range(start, len(cands)):
+            i, j, u, v = cands[idx]
+            if any(pg.chords_cross(r, i, j, i2, j2) or (u, v) == (u2, v2)
+                   for (i2, j2, u2, v2) in chosen):
+                continue
+            chosen.append(cands[idx])
+            if bounded and part.solution_floor(
+                [(x, y) for (_, _, x, y) in chosen]
+            ) > budget:
+                chosen.pop()
+                continue
+            out.append(D.completion_from_darts(
+                [(walk[a], walk[b]) for (a, b, _, _) in chosen]))
+            if len(chosen) < budget:
+                rec(idx + 1)
+            chosen.pop()
+
+    if budget > 0:
+        rec(0)
+    return out
+
+
+def kernel_graphs():
+    yield from ep.oriented_corpus(5)
+    # at least 2n - 3 arcs: sparser graphs at n >= 9 have faces whose
+    # unpruned lists run to hundreds of thousands of completions
+    for seed in range(24):
+        n = 9 + seed % 6
+        yield pog_io.gen_random(n, 2 * n - 3 + seed % (n - 2), seed)
+
+
+def test_kernel_matches_reference_recursions():
+    def pairs(cs):
+        return [[(a.tail.dart, a.head.dart) for a in c.arcs] for c in cs]
+
+    checked = 0
+    for D in kernel_graphs():
+        for f in range(D.f):
+            for b in (1, 2, 3):
+                for mo, bd in itertools.product((False, True), repeat=2):
+                    got = pairs(ce.supported_completions(D, f, b, mo, bd))
+                    assert got == pairs(
+                        supported_completions_reference(D, f, b, mo, bd))
+                    checked += len(got) > 1
+        for part in sc.split_loops(sc.condense(D).condensed):
+            P = part.graph
+            for f in range(P.f):
+                for b in (1, 2, 3):
+                    for bd in (False, True):
+                        got = pairs(ce.directed_supported_completions(P, f, b, bd))
+                        assert got == pairs(
+                            directed_supported_completions_reference(P, f, b, bd))
+                        checked += len(got) > 1
+    assert checked > 1000

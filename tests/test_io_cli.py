@@ -172,6 +172,22 @@ def test_cli_usage_error():
     assert cli.main(["solve"]) == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["-k", "-1"]),
+    ("solve-directed", ["-k", "-1"]),
+    ("brute", ["-k", "-1"]),
+    ("solve", ["-k", "3", "--mode", "montecarlo", "--trials", "0"]),
+])
+def test_cli_rejects_bad_parameters(tmp_path, capsys, triangle, simple_square,
+                                    command, flags):
+    for D in (triangle, simple_square):
+        f = tmp_path / "g.pog"
+        f.write_text(pog_io.write_pog(D))
+        assert cli.main([command, str(f), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err
+
+
 def test_cli_json_report(tmp_path, path3, capsys):
     f = tmp_path / "p.pog"
     f.write_text(pog_io.write_pog(path3))

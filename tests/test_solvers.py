@@ -7,7 +7,8 @@ from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
-from orient_augment.errors import BudgetTooLargeForOracle, Disconnected
+from orient_augment.errors import (
+    BudgetTooLargeForOracle, Disconnected, InfeasibleParameters)
 
 
 def test_verify_strong_with_empty(triangle):
@@ -54,6 +55,22 @@ def test_solvers_reject_disconnected():
         sv.solve_oriented(D, 1)
     with pytest.raises(Disconnected):
         sv.solve_directed(D, 1)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda D: sv.solve_oriented(D, -1),
+    lambda D: sv.solve_directed(D, -1),
+    lambda D: sv.brute_solve(D, -1),
+    # with one-member lists, no trial ran into math.log1p(-1)
+    lambda D: sv.solve_oriented(D, 3, method="montecarlo", trials=0),
+    # a typo ran Monte-Carlo with default_trials(3), about 1e9 trials
+    lambda D: sv.solve_oriented(D, 3, method="exhaustiv"),
+], ids=["oriented-k", "directed-k", "brute-k", "trials", "method"])
+def test_bad_parameters_are_rejected(triangle, simple_square, solve):
+    # a strong graph answered a negative budget with optimum 0 > k
+    for D in (triangle, simple_square):
+        with pytest.raises(InfeasibleParameters):
+            solve(D)
 
 
 def test_agreement_on_tiny_corpus():
