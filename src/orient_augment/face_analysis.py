@@ -242,24 +242,31 @@ def classify_all(D: pg.PlaneDigraph) -> tuple[dict, CensusReport]:
     return classes, report
 
 
+def open_faces(D: pg.PlaneDigraph) -> list[int]:
+    """The faces holding a dart of an arc between two strong components, in
+    id order.  Only these can have local terminals: the boundary of any
+    other face lies in one component, so its component ids form one run."""
+    cache = D._analysis_cache
+    if "open" not in cache:
+        comp = scc(D).component
+        cache["open"] = sorted({
+            D.face_of_dart(d)
+            for a, (u, v) in enumerate(D.arcs) if comp[u] != comp[v]
+            for d in (2 * a, 2 * a + 1)
+        })
+    return cache["open"]
+
+
 def alternating_faces(D: pg.PlaneDigraph) -> list[int]:
-    return [
-        f
-        for f in range(D.f)
-        if decompose_face(D, f).local_terminal_count >= 4
-    ]
+    return [f for f in open_faces(D)
+            if decompose_face(D, f).local_terminal_count >= 4]
 
 
 def simple_faces(D: pg.PlaneDigraph) -> list[int]:
-    return [
-        f
-        for f in range(D.f)
-        if decompose_face(D, f).local_terminal_count == 2
-    ]
+    return [f for f in open_faces(D)
+            if decompose_face(D, f).local_terminal_count == 2]
 
 
 def alternating_terminal_sum(D: pg.PlaneDigraph) -> int:
-    return sum(
-        decompose_face(D, f).local_terminal_count
-        for f in alternating_faces(D)
-    )
+    return sum(decompose_face(D, f).local_terminal_count
+               for f in alternating_faces(D))

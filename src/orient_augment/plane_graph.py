@@ -12,6 +12,10 @@ clockwise.  The angle at a boundary position is identified with the dart of
 the arc *following* the position's vertex; the angle occupies the rotation
 gap between that dart and its clockwise successor.  New arc ends landing in
 an angle are embedded in this gap.
+
+The per-dart tables (rotation successor, face, position on the face's walk)
+are flat tuples indexed by dart; as a negative index would wrap, every entry
+point taking an outside dart checks ``0 <= dart < 2m`` (else ``StaleAngle``).
 """
 
 from __future__ import annotations
@@ -130,9 +134,9 @@ class PlaneDigraph:
         faces: tuple[tuple[int, ...], ...],
         connected: bool,
         outer_face: int,
-        dart_face: dict[int, int],
-        dart_pos: dict[int, int],
-        rot_next: dict[int, int],
+        dart_face: tuple[int, ...],
+        dart_pos: tuple[int, ...],
+        rot_next: tuple[int, ...],
     ) -> None:
         self.n = n
         self.arcs = arcs
@@ -174,7 +178,7 @@ class PlaneDigraph:
         cached = self._angle_cache.get(dart)
         if cached is not None:
             return cached
-        if dart not in self._dart_face:
+        if not 0 <= dart < len(self._dart_face):
             raise StaleAngle(f"dart {dart} is not an angle of this graph")
         f = self._dart_face[dart]
         pos = self._dart_pos[dart]
@@ -265,22 +269,20 @@ def _validate_mode(arcs: Sequence[tuple[int, int]], mode: str) -> None:
 
 
 def _trace_faces(
-    n: int,
     arcs: Sequence[tuple[int, int]],
-    rotation: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, ...], ...], dict, dict, dict]:
-    rot_next: dict[int, int] = {}
-    for v in range(n):
-        ring = rotation[v]
-        k = len(ring)
-        for i, d in enumerate(ring):
-            rot_next[d] = ring[(i + 1) % k]
+    rotation: Sequence[tuple[int, ...]],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...],
+           tuple[int, ...]]:
+    rot_next = [0] * (2 * len(arcs))
+    for ring in rotation:
+        for d, e in zip(ring, ring[1:] + ring[:1]):
+            rot_next[d] = e
 
-    dart_face: dict[int, int] = {}
-    dart_pos: dict[int, int] = {}
+    dart_face = [-1] * len(rot_next)
+    dart_pos = [0] * len(rot_next)
     faces: list[tuple[int, ...]] = []
-    for start in range(2 * len(arcs)):
-        if start in dart_face:
+    for start in range(len(rot_next)):
+        if dart_face[start] >= 0:
             continue
         walk = []
         d = start
@@ -288,11 +290,12 @@ def _trace_faces(
             dart_face[d] = len(faces)
             dart_pos[d] = len(walk)
             walk.append(d)
-            d = rot_next[twin(d)]
+            d = rot_next[d ^ 1]
             if d == start:
                 break
         faces.append(tuple(walk))
-    return tuple(faces), dart_face, dart_pos, rot_next
+    # tuples of ints, unlike lists, drop out of the collector's tracking
+    return tuple(faces), tuple(dart_face), tuple(dart_pos), tuple(rot_next)
 
 
 def build(
@@ -318,29 +321,26 @@ def build(
             raise DuplicateArcEnd(f"arc ({u},{v}) references missing vertex")
     _validate_mode(arcs, mode)
 
-    expected_vertex = {}
-    for a, (u, v) in enumerate(arcs):
-        expected_vertex[tail_dart(a)] = u
-        expected_vertex[head_dart(a)] = v
-    seen: set[int] = set()
+    expected_vertex = [v for uv in arcs for v in uv]  # dart -> its vertex
+    nd = len(expected_vertex)
+    seen = bytearray(nd)
     rotation = tuple(tuple(ring) for ring in rotation)
     if len(rotation) != n:
         raise DuplicateArcEnd("rotation must list every vertex")
     for v, ring in enumerate(rotation):
         for d in ring:
-            if d in seen:
-                raise DuplicateArcEnd(f"arc end {d} appears twice")
-            if expected_vertex.get(d) != v:
+            if not 0 <= d < nd or seen[d] or expected_vertex[d] != v:
+                owner = expected_vertex[d] if 0 <= d < nd else None
+                if owner is not None and seen[d]:
+                    raise DuplicateArcEnd(f"arc end {d} appears twice")
                 raise DuplicateArcEnd(
-                    f"arc end {d} listed at vertex {v}, belongs to "
-                    f"{expected_vertex.get(d)}"
-                )
-            seen.add(d)
-    if len(seen) != 2 * len(arcs):
-        missing = set(expected_vertex) - seen
-        raise DuplicateArcEnd(f"arc ends missing from rotations: {sorted(missing)}")
+                    f"arc end {d} listed at vertex {v}, belongs to {owner}")
+            seen[d] = 1
+    if 0 in seen:
+        missing = [d for d in range(nd) if not seen[d]]
+        raise DuplicateArcEnd(f"arc ends missing from rotations: {missing}")
 
-    faces, dart_face, dart_pos, rot_next = _trace_faces(n, arcs, rotation)
+    faces, dart_face, dart_pos, rot_next = _trace_faces(arcs, rotation)
 
     connected = _underlying_connected(n, arcs)
     if connected and arcs:
@@ -465,7 +465,7 @@ def insert_arcs(
         return base
 
     for dt, dh in pairs:
-        if dt not in base._dart_face or dh not in base._dart_face:
+        if not (0 <= dt < 2 * base.m and 0 <= dh < 2 * base.m):
             raise StaleAngle(f"angle dart missing from host graph: {dt},{dh}")
         if base._dart_face[dt] != base._dart_face[dh]:
             raise StaleAngle("completion arc spans two distinct faces")

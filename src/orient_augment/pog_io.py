@@ -48,27 +48,29 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
         raise ParseError(f"line 1: bad counts: {exc}") from exc
     if n < 0 or m < 0:
         raise ParseError(f"line 1: negative count in {lines[0]!r}")
+    if n + m >= len(lines):  # one line per arc and per vertex
+        raise ParseError(f"line 1: {n} vertices and {m} arcs need {n + m} "
+                         f"lines, but {len(lines) - 1} follow")
     arcs: list[Optional[tuple[int, int]]] = [None] * m
     rotation: list[Optional[tuple[int, ...]]] = [None] * n
     seen_ends: set[int] = set()
     for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip() or raw.startswith("#"):
-            continue
         parts = raw.split()
+        if not parts or raw[0] == "#":
+            continue
         if parts[0] == "a":
             if len(parts) != 4:
                 raise ParseError(f"line {ln}: expected 'a <id> <tail> <head>'")
             try:
-                a, u, v = (int(x) for x in parts[1:])
+                a, u, v = map(int, parts[1:])
             except ValueError as exc:
                 raise ParseError(f"line {ln}: non-integer id: {exc}") from exc
             if not 0 <= a < m or arcs[a] is not None:
                 raise ParseError(f"line {ln}: bad or repeated arc id {a}")
-            for col, x in ((3, u), (4, v)):
-                if not 0 <= x < n:
-                    raise ParseError(
-                        f"line {ln}, field {col}: vertex {x} not in 0..{n - 1}"
-                    )
+            if not (0 <= u < n and 0 <= v < n):
+                col, x = (3, u) if not 0 <= u < n else (4, v)
+                raise ParseError(
+                    f"line {ln}, field {col}: vertex {x} not in 0..{n - 1}")
             arcs[a] = (u, v)
         elif parts[0] == "r":
             try:

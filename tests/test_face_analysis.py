@@ -1,7 +1,10 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orient_augment import enumerate_plane as ep
 from orient_augment import face_analysis as fa
 from orient_augment import pog_io
 from orient_augment import strongconn as sc
@@ -129,3 +132,33 @@ def test_interval_dipath_reachability():
                 for i in range(len(verts)):
                     for j in range(i + 1, len(verts)):
                         assert (reach[verts[i]] >> verts[j]) & 1
+
+
+def _open_face_graphs():
+    yield from ep.oriented_corpus(5)
+    for n in range(9, 17):
+        for seed in range(6):
+            m = (n - 1) + (seed * 7919) % (2 * n - 5)
+            yield pog_io.gen_random(n, m, seed=seed)
+    data = pathlib.Path(__file__).parent / "data"
+    for path in sorted(data.glob("planted_multi_*.pog")):
+        yield pog_io.parse_pog(path.read_text())
+
+
+def test_open_face_index_matches_full_scan():
+    """The face lists read through the open-face index equal a scan of
+    every face, and every face outside the index has no local terminal."""
+    graphs = 0
+    for D in _open_face_graphs():
+        graphs += 1
+        indexed = (fa.alternating_faces(D), fa.simple_faces(D),
+                   fa.alternating_terminal_sum(D))
+        counts = [fa.decompose_face(D, f).local_terminal_count
+                  for f in range(D.f)]
+        alternating = [f for f, c in enumerate(counts) if c >= 4]
+        simple = [f for f, c in enumerate(counts) if c == 2]
+        assert indexed == (alternating, simple,
+                           sum(counts[f] for f in alternating))
+        assert not any(counts[f] for f in set(range(D.f))
+                       - set(fa.open_faces(D)))
+    assert graphs == 891 + 48 + 2

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -56,6 +57,42 @@ def test_out_of_range_id_is_typed_parse_error(tmp_path, capsys, bad_line,
     f.write_text(text)
     assert cli.main(["solve", str(f), "-k", "1"]) == 2
     assert f"line {line_no}, field {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line, line_no, message",
+    [("r 1 0- +", 5, "line 5: bad end token '+'"),
+     ("r 1 0- 3x", 5, "line 5: bad end token '3x'"),
+     ("r 1 -1+ 1+", 5, "line 5, field 3: arc -1 not in 0..1"),
+     ("r 1 0- 1+ 0-", 5, "line 5, field 5: arc end 0- repeated"),
+     ("r 2 1- 0-", 6, "line 6, field 4: arc end 0- repeated")],
+)
+def test_bad_end_token_message_is_exact(bad_line, line_no, message):
+    lines = ["pog oriented 3 2", "a 0 0 1", "a 1 1 2", "r 0 0+", "r 1 0- 1+", "r 2 1-"]
+    lines[line_no - 1] = bad_line
+    with pytest.raises(ParseError) as err:
+        pog_io.parse_pog("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "header", ["pog oriented 4611686018427387904 0",
+               "pog oriented 3 99999999999999999999999"])
+def test_header_counts_beyond_the_text_are_parse_errors(tmp_path, capsys,
+                                                        header):
+    text = header + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 1: "):
+            pog_io.parse_pog(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # nothing sized by the header was allocated
+    f = tmp_path / "huge.pog"
+    f.write_text(text)
+    assert cli.main(["solve", str(f), "-k", "1"]) == 2
+    assert "line 1: " in capsys.readouterr().err
 
 
 DIMACS_OK = ["p cnf 3 1", "1 -2 -3 0", "rotv 1 1", "rotv 2 1", "rotv 3 1"]

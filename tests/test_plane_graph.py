@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
-from orient_augment.errors import CrossingArcs, DuplicateArcEnd, ModeViolation
+from orient_augment.errors import (
+    CrossingArcs, DuplicateArcEnd, ModeViolation, StaleAngle,
+)
 
 
 def build_k4():
@@ -48,6 +50,33 @@ def test_duplicate_arc_end_rejected():
         pg.build(2, [(0, 1)], [(0, 0), (1,)])
     with pytest.raises(DuplicateArcEnd):
         pg.build(2, [(0, 1)], [(1,), (0,)])  # ends at the wrong vertices
+
+
+def test_rotation_errors_name_the_arc_end():
+    cases = [
+        ([(0, 2), (1,)], "arc end 2 listed at vertex 0, belongs to None"),
+        ([(0, -1), (1,)], "arc end -1 listed at vertex 0, belongs to None"),
+        ([(0, 0), (1,)], "arc end 0 appears twice"),
+        ([(1,), (0,)], "arc end 1 listed at vertex 0, belongs to 1"),
+        ([(0,), ()], r"arc ends missing from rotations: \[1\]"),
+    ]
+    for rotation, message in cases:
+        with pytest.raises(DuplicateArcEnd, match=message):
+            pg.build(2, [(0, 1)], rotation)
+
+
+def test_foreign_darts_are_stale(simple_square):
+    D = simple_square
+    for dart in (-1, -2 * D.m, 2 * D.m, 2 * D.m + 5):
+        with pytest.raises(StaleAngle):
+            D.angle(dart)
+        with pytest.raises(StaleAngle):
+            D.completion_from_darts([(dart, 0)])
+        with pytest.raises(StaleAngle):
+            D.completion_from_darts([(0, dart)])
+        for pair in ((dart, 0), (0, dart)):
+            with pytest.raises(StaleAngle):
+                pg.insert_arcs(D, [pair])
 
 
 def test_k4_faces():
