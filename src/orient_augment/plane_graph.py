@@ -439,30 +439,14 @@ def validate_completion_mode(
 _MODE_WIDTH = {MODE_ORIENTED: 0, MODE_DIRECTED: 1, MODE_MULTI: 2}
 
 
-def insert_arcs(
-    base: PlaneDigraph,
-    completion: Completion | Sequence[tuple[int, int]],
-    mode: Optional[str] = None,
-) -> PlaneDigraph:
-    """Return ``base`` plus the completion's arcs, re-embedded and re-traced.
-
-    ``mode`` governs the legality of the new arcs against the host and each
-    other; the host's own structures stay legal (the result carries the
-    wider of the two modes).  Each new arc end is inserted in its angle's
-    rotation gap; several new ends landing in one gap are ordered by the
-    nesting of their chords.  Raises ``CrossingArcs`` when two chords of
-    one face interleave, ``ModeViolation`` on loop/digon/parallel
-    violations, and ``StaleAngle`` for angles that do not belong to
-    ``base``.
-    """
-    mode = mode or base.mode
+def _checked_pairs(base: PlaneDigraph, completion, mode: str) -> tuple:
+    """The completion's dart pairs and the mode of ``base`` plus them,
+    after the legality checks of ``insert_arcs``, which the verifier shares."""
     result_mode = max(base.mode, mode, key=_MODE_WIDTH.get)
     if isinstance(completion, Completion):
         pairs = [(a.tail.dart, a.head.dart) for a in completion.arcs]
     else:
         pairs = [(dt, dh) for dt, dh in completion]
-    if not pairs:
-        return base
 
     for dt, dh in pairs:
         if not (0 <= dt < 2 * base.m and 0 <= dh < 2 * base.m):
@@ -488,6 +472,28 @@ def insert_arcs(
                     raise CrossingArcs(
                         f"chords {ai} and {aj} interleave in face {f}"
                     )
+    return pairs, result_mode
+
+
+def insert_arcs(
+    base: PlaneDigraph,
+    completion: Completion | Sequence[tuple[int, int]],
+    mode: Optional[str] = None,
+) -> PlaneDigraph:
+    """Return ``base`` plus the completion's arcs, re-embedded and re-traced.
+
+    ``mode`` governs the legality of the new arcs against the host and each
+    other; the host's own structures stay legal (the result carries the
+    wider of the two modes).  Each new arc end is inserted in its angle's
+    rotation gap; several new ends landing in one gap are ordered by the
+    nesting of their chords.  Raises ``CrossingArcs`` when two chords of
+    one face interleave, ``ModeViolation`` on loop/digon/parallel
+    violations, and ``StaleAngle`` for angles that do not belong to
+    ``base``: the checks of ``_checked_pairs``, shared with the verifier.
+    """
+    pairs, result_mode = _checked_pairs(base, completion, mode or base.mode)
+    if not pairs:
+        return base
 
     # New arcs get ids m, m+1, ...  An angle is the rotation gap just
     # before its walk dart, so new ends are spliced in front of it; when

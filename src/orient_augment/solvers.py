@@ -89,13 +89,17 @@ def verify_solution(
     mode: Optional[str] = None,
 ) -> tuple[bool, str]:
     """True iff the completion embeds legally in ``mode`` and the result is
-    strongly connected.  Never raises; the diagnostic names the failure."""
-    mode = mode or pg.MODE_ORIENTED
+    strongly connected.  Never raises; the diagnostic names the failure.
+    Legality is ``insert_arcs``'s check; past it the rebuild cannot fail
+    (``D`` is valid, and chords that do not interleave each split a face).
+    Each strong component of ``D`` lies in one of ``D`` plus the arcs, so
+    strength is tested exactly on ``D``'s component DAG plus the arcs."""
     try:
-        augmented = pg.insert_arcs(D, completion, mode=mode)
+        pairs, _ = pg._checked_pairs(D, completion, mode or pg.MODE_ORIENTED)
     except Exception as exc:
         return False, f"{type(exc).__name__}: {exc}"
-    if not sc.is_strong(augmented):
+    ends = [(D.dart_vertex(dt), D.dart_vertex(dh)) for dt, dh in pairs]
+    if sc.scc(D).terminal_sides(ends)[0]:  # a source component is left
         return False, "NotStrong: augmented graph has several components"
     return True, "ok"
 

@@ -189,6 +189,38 @@ def test_cli_verify_crossing(tmp_path, simple_square, capsys):
     assert "CrossingArcs" in out
 
 
+def run_verify(tmp_path, capsys, D, chords, *mode):
+    """Exit code and output of ``verify`` on the witness whose arcs join
+    the given vertices, at their last angles on the boundary of face 0."""
+    at = {D.dart_vertex(d): d for d in D.faces[0]}
+    comp = D.completion_from_darts([(at[u], at[v]) for u, v in chords])
+    graph_file = tmp_path / "g.pog"
+    graph_file.write_text(pog_io.write_pog(D))
+    wit_file = tmp_path / "w.json"
+    wit_file.write_text(pog_io.completion_to_json(comp))
+    rc = cli.main(["verify", str(graph_file), str(wit_file), *mode])
+    return rc, capsys.readouterr().out
+
+
+def test_cli_verify_valid(tmp_path, capsys, path3):
+    assert run_verify(tmp_path, capsys, path3, [(2, 0)]) == (0, "valid\n")
+
+
+def test_cli_verify_not_strong(tmp_path, capsys, path3):
+    assert run_verify(tmp_path, capsys, path3, [(0, 2)]) == (
+        1, "invalid: NotStrong: augmented graph has several components\n")
+
+
+def test_cli_verify_digon_depends_on_mode(tmp_path, capsys, path3):
+    # 2->1 and 1->0 reverse both host arcs: legal only where digons are
+    chords = [(2, 1), (1, 0)]
+    rc, out = run_verify(tmp_path, capsys, path3, chords, "--mode", "oriented")
+    assert rc == 1 and out.startswith("invalid: ModeViolation: ")
+    assert "forms a digon" in out
+    assert run_verify(tmp_path, capsys, path3, chords,
+                      "--mode", "directed") == (0, "valid\n")
+
+
 def test_cli_gen_random_and_hard(tmp_path):
     out = tmp_path / "r.pog"
     assert cli.main([

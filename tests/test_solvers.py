@@ -1,4 +1,6 @@
+import collections
 import pathlib
+import random
 
 import pytest
 
@@ -7,6 +9,7 @@ from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
+from orient_augment import strongconn as sc
 from orient_augment.errors import (
     BudgetTooLargeForOracle, Disconnected, InfeasibleParameters)
 
@@ -28,6 +31,120 @@ def test_verify_names_crossing(simple_square):
     )
     ok, diag = sv.verify_solution(D, comp)
     assert not ok and "CrossingArcs" in diag
+
+
+def verify_solution_reference(D, completion, mode=None):
+    """The verifier before it ran on the component DAG: re-embed the
+    completion with ``insert_arcs`` and run Tarjan on the result."""
+    mode = mode or pg.MODE_ORIENTED
+    try:
+        augmented = pg.insert_arcs(D, completion, mode=mode)
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+    if not sc.is_strong(augmented):
+        return False, "NotStrong: augmented graph has several components"
+    return True, "ok"
+
+
+def raw_completion(D, pairs):
+    """A completion on any dart pairs, foreign darts and two-face pairs
+    included, which ``completion_from_darts`` would refuse."""
+    def angle(d):
+        if 0 <= d < 2 * D.m:
+            return D.angle(d)
+        return pg.Angle(face=-1, position=-1, vertex=-1, preceding_arc=-1,
+                        following_arc=-1, dart=d)
+    return pg.Completion(tuple(
+        pg.CompletionArc(face=angle(dt).face, tail=angle(dt), head=angle(dh))
+        for dt, dh in pairs))
+
+
+def random_pairs(D, rng):
+    """0-4 dart pairs, each drawn from one of several kinds: a chord of one
+    face, a loop at one angle, a copy or reversal of a host arc, two
+    interleaving chords, two arbitrary darts, or a foreign dart."""
+    nd = 2 * D.m
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice((0, 0, 0, 1, 2, 2, 3, 4, 5)) if nd else 5
+        walk = D.faces[rng.randrange(D.f)] if D.f else ()
+        if kind == 0 and walk:
+            pairs.append((rng.choice(walk), rng.choice(walk)))
+        elif kind == 1 and walk:
+            d = rng.choice(walk)
+            pairs.append((d, d))
+        elif kind == 2:
+            a = rng.randrange(nd)  # an arc end, its face and the far end
+            far = [d for d in D.faces[D.face_of_dart(a)]
+                   if D.dart_vertex(d) == D.dart_vertex(a ^ 1)]
+            pairs.append((a, rng.choice(far))[::rng.choice((1, -1))])
+        elif kind == 3 and len(walk) >= 4:
+            p = sorted(rng.sample(range(len(walk)), 4))
+            pairs.append((walk[p[0]], walk[p[2]])[::rng.choice((1, -1))])
+            pairs.append((walk[p[1]], walk[p[3]])[::rng.choice((1, -1))])
+        elif kind == 4:
+            pairs.append((rng.randrange(nd), rng.randrange(nd)))
+        else:
+            bad = rng.choice([-1, -2 * max(nd, 1), nd, nd + 5])
+            good = rng.randrange(nd) if nd else 0
+            pairs.append((bad, good)[::rng.choice((1, -1))])
+    return pairs
+
+
+def differential_hosts():
+    yield from ep.oriented_corpus(5)
+    for n in range(9, 17):
+        for seed in range(12):
+            mode = pg.MODE_DIRECTED if seed % 3 == 0 else pg.MODE_ORIENTED
+            m = n - 1 + (seed * 7) % (2 * n - 5)
+            yield pog_io.gen_random(n, m, seed=900 + 20 * n + seed, mode=mode)
+
+
+def test_verify_matches_reembedding_reference():
+    rng = random.Random(12)
+    outcomes = collections.Counter()
+    for D in differential_hosts():
+        for _ in range(8):
+            comp = raw_completion(D, random_pairs(D, rng))
+            for mode in (None, pg.MODE_ORIENTED, pg.MODE_DIRECTED,
+                         pg.MODE_MULTI):
+                got = sv.verify_solution(D, comp, mode)
+                assert got == verify_solution_reference(D, comp, mode), (
+                    pog_io.write_pog(D), comp.key(), mode)
+                outcomes[got[1].split(":")[0]] += 1
+    assert set(outcomes) == {"ok", "NotStrong", "ModeViolation",
+                             "StaleAngle", "CrossingArcs"}, outcomes
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_verify_matches_reference_on_condensed_and_directed_hosts():
+    # condensed hosts are multigraphs with loops; the directed hosts hold
+    # digons, so checking them in oriented mode widens the result's mode
+    rng = random.Random(3)
+    seen = collections.Counter()
+    for seed in range(12):
+        D = pog_io.gen_random(8, 12, seed, mode=pg.MODE_DIRECTED)
+        assert any((v, u) in D.arcs for u, v in D.arcs)
+        for host in (D, sc.condense(D).condensed,
+                     sc.condense(pog_io.gen_random(9, 13, seed)).condensed):
+            # every chord alone, and with a loop at its tail's angle
+            chords = [(a, b) for walk in host.faces for a in walk for b in walk]
+            comps = [host.completion_from_darts(pairs) for a, b in chords
+                     for pairs in ([(a, b)], [(a, b), (a, a)])]
+            comps += [raw_completion(host, random_pairs(host, rng))
+                      for _ in range(50)]
+            if host is D:  # the solver's witness, legal in oriented mode
+                rep = sv.solve_oriented(D, 3)
+                comps += [rep.witness] if rep.verdict else []
+            for comp in comps:
+                for mode in (None, pg.MODE_ORIENTED, pg.MODE_DIRECTED,
+                             pg.MODE_MULTI):
+                    got = sv.verify_solution(host, comp, mode)
+                    assert got == verify_solution_reference(host, comp, mode)
+                    loop = any(a.tail.dart == a.head.dart for a in comp.arcs)
+                    seen[host.mode, mode, loop, got[0]] += 1
+    assert seen[pg.MODE_MULTI, pg.MODE_MULTI, True, True] > 0
+    assert seen[pg.MODE_DIRECTED, pg.MODE_ORIENTED, False, True] > 0
 
 
 def test_brute_strong_is_zero(triangle):
