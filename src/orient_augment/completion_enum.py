@@ -7,7 +7,7 @@ attach only to local terminal angles of an acyclic instance; plus the
 joint branches over alternating faces that the Monte-Carlo mode walks.
 Both per-face lists come from one kernel, ``_noncrossing``: a depth-first
 walk over bitmasks of candidate arcs that keeps the Eswaran-Tarjan floor
-as the set grows.
+as the set grows and hands back candidate-index sets.
 """
 
 from __future__ import annotations
@@ -114,11 +114,19 @@ def supported_completions(
     rejects every superset of a rejected set, so they prune the recursion
     exactly and the survivors keep their order."""
     yield pg.EMPTY_COMPLETION
+    cands, sets = _supported_sets(D, face, budget, minimal_only, bounded)
+    yield from _completions(D, face, cands, sets)
+
+
+def _supported_sets(D: pg.PlaneDigraph, face: int, budget: int,
+                    minimal_only: bool, bounded: bool) -> tuple[list, list]:
+    """The candidate arcs of ``supported_completions`` and, as rising
+    candidate indices, its non-empty completions in order."""
     if budget <= 0:
-        return
+        return [], []
     ivs = fa.decompose_face(D, face).intervals()
     if not ivs:
-        return
+        return [], []
     walk = D.faces[face]
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
@@ -132,7 +140,7 @@ def supported_completions(
             if not blocked >> v & 1:
                 cands.append((i, j, u, v))
     if not cands:
-        return
+        return [], []
     pool: set[int] = set()
     for iv in ivs:
         pool |= sp.support_pool(D, iv, 2 * budget)
@@ -158,22 +166,32 @@ def supported_completions(
         return True
 
     pairs = [frozenset((label[u], label[v])) for _, _, u, v in cands]
-    yield from _noncrossing(D, walk, cands, pairs, budget, bounded, supported)
+    return cands, _noncrossing(D, len(walk), cands, pairs, budget, bounded,
+                               supported)
+
+
+def _completions(D: pg.PlaneDigraph, face: int, cands: list,
+                 sets: list[tuple[int, ...]]) -> list[pg.Completion]:
+    """The completions of candidate-index sets of one face."""
+    walk = D.faces[face]
+    return [D.completion_from_darts(
+        [(walk[cands[x][0]], walk[cands[x][1]]) for x in xs]) for xs in sets]
 
 
 def _noncrossing(
     D: pg.PlaneDigraph,
-    walk: Sequence[int],
+    r: int,
     cands: list[tuple[int, int, int, int]],
     pair: Sequence[Hashable],
     budget: int,
     bounded: bool,
     accept: Optional[Callable[[list[int]], bool]] = None,
-) -> list[pg.Completion]:
-    """The enumeration kernel of both modes: the completions of the sets of
-    at most ``budget`` candidate arcs (walk positions i, j, vertices u, v)
-    that cross nowhere and hold at most one arc per pair id ``pair[x]``,
-    depth first in candidate order, that ``accept`` takes (all when None).
+) -> list[tuple[int, ...]]:
+    """The enumeration kernel of both modes: the sets of at most ``budget``
+    candidate arcs (positions i, j on a walk of length ``r``, vertices u,
+    v) that cross nowhere and hold at most one arc per pair id ``pair[x]``,
+    depth first in candidate order, that ``accept`` takes (all when None),
+    as rising candidate indices.
 
     A node's children are one bitmask: the later candidates no chosen one
     excludes.  A chord excludes those with one end strictly on each side of
@@ -184,7 +202,6 @@ def _noncrossing(
     exceeds ``budget``.  An arc lowers a by one when it enters a source not
     yet entered, so where a reaches the room left the children are masked
     to those arcs (b likewise), and no dropped set is visited."""
-    r = len(walk)
     part = scc(D)
     comp = part.component
     # source -> candidates entering it, sink -> those leaving it
@@ -201,7 +218,7 @@ def _noncrossing(
         at[i] |= 1 << x
         at[j] |= 1 << x
     excluded: list[Optional[int]] = [None] * len(cands)
-    out: list[pg.Completion] = []
+    out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     def rec(free: int, room: int, a: int, b: int, fresh_in: int,
@@ -218,8 +235,7 @@ def _noncrossing(
             x = low.bit_length() - 1
             chosen.append(x)
             if accept is None or accept(chosen):
-                out.append(D.completion_from_darts(
-                    [(walk[cands[y][0]], walk[cands[y][1]]) for y in chosen]))
+                out.append(tuple(chosen))
             if room > 1 and free:
                 i, j, u, v = cands[x]
                 if excluded[x] is None:
@@ -258,7 +274,8 @@ def simple_face_candidates(
     maximal members loses nothing.  Every member is dominated by no other
     (adding arcs only coarsens the strong-component partition of the
     face-induced subgraph), and each dominates-or-equals every completion
-    it covers."""
+    it covers.  Domination is read off the kernel's candidate-index sets,
+    and only the members kept become ``Completion``s."""
     dec = fa.decompose_face(D, face)
     if dec.local_terminal_count != 2:
         raise NotSimpleFace(
@@ -268,14 +285,13 @@ def simple_face_candidates(
     cached = D._analysis_cache.get(key)
     if cached is not None:
         return cached
-    supported = supported_completions(D, face, 3, minimal_only=True)
-    all_supported = list(supported)[1:]  # less the empty one, yielded first
-    keys = [c.key() for c in all_supported]
+    cands, sets = _supported_sets(D, face, 3, minimal_only=True,
+                                  bounded=False)
     # the proper subsets of every member (at most 3 arcs: 6 each) are
-    # exactly the dominated ones
-    inside = {frozenset(s) for k in keys for r in range(1, len(k))
-              for s in combinations(k, r)}
-    out = [c for c, k in zip(all_supported, keys) if k not in inside]
+    # exactly the dominated ones; rising index tuples compare as sets
+    inside = {sub for xs in sets for r in range(1, len(xs))
+              for sub in combinations(xs, r)}
+    out = _completions(D, face, cands, [xs for xs in sets if xs not in inside])
     D._analysis_cache[key] = out
     return out
 
@@ -384,5 +400,6 @@ def directed_supported_completions(
     # the vertex itself, and the head of an existing arc, are reached too
     cands = [(i, j, u, v) for i, u in ends for j, v in ends
              if not reach[u] >> v & 1]
-    return [pg.EMPTY_COMPLETION, *_noncrossing(
-        D, walk, cands, [(u, v) for _, _, u, v in cands], budget, bounded)]
+    return [pg.EMPTY_COMPLETION, *_completions(D, face, cands, _noncrossing(
+        D, len(walk), cands, [(u, v) for _, _, u, v in cands], budget,
+        bounded))]

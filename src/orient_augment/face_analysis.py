@@ -87,87 +87,53 @@ class FaceDecomposition:
         return tuple(both)
 
 
-def _cyclic_runs(values: list[int]) -> list[tuple[int, int]]:
-    """Maximal (start, length) runs of equal values on a cyclic list."""
-    r = len(values)
-    if r == 0:
-        return []
-    if all(v == values[0] for v in values):
-        return [(0, r)]
-    # rotate so a run boundary sits at index 0
-    s = 0
-    while values[s - 1] == values[s]:
-        s -= 1
-    s %= r
-    runs = []
-    i = 0
-    while i < r:
-        j = i
-        while j + 1 < r and values[(s + j + 1) % r] == values[(s + i) % r]:
-            j += 1
-        runs.append(((s + i) % r, j - i + 1))
-        i = j + 1
-    return runs
-
-
 def decompose_face(D: pg.PlaneDigraph, face: int) -> FaceDecomposition:
-    """Strong intervals, local terminals, and interval dipaths of a face."""
+    """Strong intervals, local terminals, and interval dipaths of a face.
+
+    One pass over the walk's component ids finds where the runs start, and
+    each interval's positions are built once.  A run is a local source when
+    both flanking boundary arcs leave it and a local sink when both enter
+    it; the positions between two consecutive local terminals form an
+    interval dipath.  Each list is in order of first position."""
     cache = D._analysis_cache.setdefault("faces", {})
     if face in cache:
         return cache[face]
     comp = scc(D).component
     walk = D.faces[face]
     r = len(walk)
-    values = [comp[D.dart_vertex(d)] for d in walk]
-    runs = _cyclic_runs(values)
+    ids = [comp[D.dart_vertex(d)] for d in walk]
+    starts = [p for p in range(r) if ids[p] != ids[p - 1]] or [0]
+    ends = starts[1:] + [starts[0] + r]
 
-    strong_intervals = []
-    terminals = []
-    for start, length in runs:
-        positions = tuple((start + t) % r for t in range(length))
-        iv = Interval(face=face, kind=STRONG_INTERVAL, positions=positions)
-        strong_intervals.append(iv)
-        if len(runs) == 1:
-            continue
-        # flanking boundary arcs: preceding arc of first position,
-        # following arc of last position
-        first, last = positions[0], positions[-1]
-        pre_end = pg.twin(walk[first - 1])
-        post_end = walk[last]
-        pre_out = pg.dart_is_tail(pre_end)
-        post_out = pg.dart_is_tail(post_end)
-        if pre_out and post_out:
-            terminals.append(
-                Interval(face=face, kind=LOCAL_SOURCE, positions=positions)
-            )
-        elif not pre_out and not post_out:
-            terminals.append(
-                Interval(face=face, kind=LOCAL_SINK, positions=positions)
-            )
+    def interval(kind: str, start: int, end: int) -> Interval:
+        # positions start..end - 1 around the walk, 0 < end - start <= r
+        if start >= r:
+            start, end = start - r, end - r
+        positions = (tuple(range(start, end)) if end <= r
+                     else tuple(range(start, r)) + tuple(range(end - r)))
+        return Interval(face=face, kind=kind, positions=positions)
 
-    terminals.sort(key=lambda iv: iv.start)
-    terminal_pos = set()
-    for t in terminals:
-        terminal_pos.update(t.positions)
-    dipaths = []
-    if terminals:
-        flags = [p in terminal_pos for p in range(r)]
-        for start, length in _cyclic_runs([int(b) for b in flags]):
-            if flags[start]:
-                continue
-            positions = tuple((start + t) % r for t in range(length))
-            dipaths.append(
-                Interval(face=face, kind=INTERVAL_DIPATH, positions=positions)
-            )
-        dipaths.sort(key=lambda iv: iv.start)
-
-    dec = FaceDecomposition(
-        face=face,
-        strong_intervals=tuple(sorted(strong_intervals, key=lambda iv: iv.start)),
-        terminals=tuple(terminals),
-        dipaths=tuple(dipaths),
-    )
-    cache[face] = dec
+    runs = [interval(STRONG_INTERVAL, s, e) for s, e in zip(starts, ends)]
+    kinds = [None] * len(runs)
+    if len(runs) > 1:
+        for i, (s, e) in enumerate(zip(starts, ends)):
+            # walk[p] is position p's end of the boundary arc after p, so
+            # that arc leaves p iff walk[p] is a tail dart
+            pre_out = not pg.dart_is_tail(walk[s - 1])
+            post_out = pg.dart_is_tail(walk[(e - 1) % r])
+            if pre_out == post_out:
+                kinds[i] = LOCAL_SOURCE if pre_out else LOCAL_SINK
+    term = [i for i, kind in enumerate(kinds) if kind]
+    # the positions from the end of one terminal to the start of the next
+    gaps = [(ends[i], starts[j] + (r if j <= i else 0))
+            for i, j in zip(term, term[1:] + term[:1])]
+    dipaths = sorted(
+        (interval(INTERVAL_DIPATH, b, e) for b, e in gaps if b < e),
+        key=lambda iv: iv.start)
+    dec = cache[face] = FaceDecomposition(
+        face, tuple(runs),
+        tuple(Interval(face, kinds[i], runs[i].positions) for i in term),
+        tuple(dipaths))
     return dec
 
 

@@ -441,7 +441,10 @@ _MODE_WIDTH = {MODE_ORIENTED: 0, MODE_DIRECTED: 1, MODE_MULTI: 2}
 
 def _checked_pairs(base: PlaneDigraph, completion, mode: str) -> tuple:
     """The completion's dart pairs and the mode of ``base`` plus them,
-    after the legality checks of ``insert_arcs``, which the verifier shares."""
+    after the legality checks of ``insert_arcs``, which the verifier shares.
+    An unknown mode string raises ``ValueError``, as in ``build``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     result_mode = max(base.mode, mode, key=_MODE_WIDTH.get)
     if isinstance(completion, Completion):
         pairs = [(a.tail.dart, a.head.dart) for a in completion.arcs]

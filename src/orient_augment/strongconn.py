@@ -66,14 +66,15 @@ class SccPartition:
 
 def scc_of_arcs(n: int, arcs) -> list[int]:
     """Iterative Tarjan; returns component id per vertex.  Ids are numbered
-    sinks first: every arc between components goes to a lower id."""
+    sinks first: every arc between components goes to a lower id.  Each
+    frame of the work stack keeps its own adjacency iterator, and a visited
+    vertex is on Tarjan's stack exactly while it has no component."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:
         if u != v:
             adj[u].append(v)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     comp = [-1] * n
     counter = 0
@@ -81,38 +82,34 @@ def scc_of_arcs(n: int, arcs) -> list[int]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
+            v, it = work[-1]
+            for w in it:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    p = work[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
     return comp
 
 

@@ -11,6 +11,12 @@ Adjacency is underlying adjacency in the host graph: any existing arc,
 whatever its orientation or embedding, blocks a shift because the shifted
 arc would duplicate it or close a digon.
 
+Level 1 holds (0,) and (1,), and the append rule grows them, so for
+``q < r`` angles level ``q`` of a left family holds the leading windows
+(0, ..., q - 1) and (1, ..., q), and a right family their mirrors.  An
+endpoint set inside one leading plus one trailing window is supported, and
+where ``2q >= r`` every set is; families are built only past the windows.
+
 Both rules look only at a member's last angle, so each interval side is
 grown once: level q + 1 is built from level q, and a higher level extends
 the levels cached per (face, positions in side order).  Adjacency is read
@@ -169,8 +175,14 @@ def support_pool(
     D: pg.PlaneDigraph, interval: Interval, q_max: int
 ) -> frozenset[int]:
     """Union of all member angles of both families up to level ``q_max``;
-    every supported completion's endpoints on the interval lie in it."""
-    q_cap = min(q_max, len(interval.positions))
+    every supported completion's endpoints on the interval lie in it.
+    The leading windows up to level ``q`` cover the first ``q + 1`` angles
+    and the trailing ones the last, so where ``2q + 2 >= r`` for the level
+    cap ``q`` the pool is the whole interval."""
+    r = len(interval.positions)
+    q_cap = min(q_max, r)
+    if 2 * q_cap + 2 >= r:
+        return frozenset(interval.positions)
     key = ("supPool", interval.face, interval.positions, q_cap)
     pool = D._analysis_cache.get(key)
     if pool is None:
@@ -187,17 +199,22 @@ def support_pool(
 def is_supported_on_interval(
     D: pg.PlaneDigraph, interval: Interval, endpoint_positions: list[int]
 ) -> bool:
-    """Check the defining condition: the distinct endpoint angles are
-    covered by one left member united with one right member, both of level
-    equal to the number of distinct angles."""
+    """Check the defining condition: the distinct endpoint angles, which
+    lie on the interval, are covered by one left member united with one
+    right member, both of level equal to the number ``q`` of distinct
+    angles.  A leading and a trailing window of level ``q`` are such
+    members, so angles inside two of them (all angles when ``2q`` reaches
+    the interval's length) are answered without building a family."""
     w = frozenset(endpoint_positions)
-    if not w:
-        return True
-    q = len(w)
-    if q > len(interval.positions):
+    P = interval.positions
+    q, r = len(w), len(P)
+    if q > r:
         return False
-    lefts = _family(D, interval.face, interval.positions, q)
-    rights = _family(D, interval.face, interval.positions[::-1], q)
+    if not w or 2 * q >= r or any(w <= set(P[a:a + q] + P[r - q - b:r - b])
+                                  for a in (0, 1) for b in (0, 1)):
+        return True
+    lefts = _family(D, interval.face, P, q)
+    rights = _family(D, interval.face, P[::-1], q)
     for bl in lefts:
         rest = w - bl
         if not rest:

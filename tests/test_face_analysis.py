@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from orient_augment import enumerate_plane as ep
 from orient_augment import face_analysis as fa
+from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import strongconn as sc
 
@@ -162,3 +163,88 @@ def test_open_face_index_matches_full_scan():
         assert not any(counts[f] for f in set(range(D.f))
                        - set(fa.open_faces(D)))
     assert graphs == 891 + 48 + 2
+
+
+# -- reference: decompose_face as first written, from maximal cyclic runs of
+# component ids and a second run scan over terminal flags ---------------
+
+
+def _cyclic_runs(values):
+    """Maximal (start, length) runs of equal values on a cyclic list."""
+    r = len(values)
+    if r == 0:
+        return []
+    if all(v == values[0] for v in values):
+        return [(0, r)]
+    # rotate so a run boundary sits at index 0
+    s = 0
+    while values[s - 1] == values[s]:
+        s -= 1
+    s %= r
+    runs = []
+    i = 0
+    while i < r:
+        j = i
+        while j + 1 < r and values[(s + j + 1) % r] == values[(s + i) % r]:
+            j += 1
+        runs.append(((s + i) % r, j - i + 1))
+        i = j + 1
+    return runs
+
+
+def decompose_face_reference(D, face):
+    comp = sc.scc(D).component
+    walk = D.faces[face]
+    r = len(walk)
+    runs = _cyclic_runs([comp[D.dart_vertex(d)] for d in walk])
+    strong_intervals = []
+    terminals = []
+    for start, length in runs:
+        positions = tuple((start + t) % r for t in range(length))
+        strong_intervals.append(
+            fa.Interval(face=face, kind=fa.STRONG_INTERVAL, positions=positions))
+        if len(runs) == 1:
+            continue
+        pre_out = pg.dart_is_tail(pg.twin(walk[positions[0] - 1]))
+        post_out = pg.dart_is_tail(walk[positions[-1]])
+        if pre_out and post_out:
+            terminals.append(
+                fa.Interval(face=face, kind=fa.LOCAL_SOURCE, positions=positions))
+        elif not pre_out and not post_out:
+            terminals.append(
+                fa.Interval(face=face, kind=fa.LOCAL_SINK, positions=positions))
+    terminals.sort(key=lambda iv: iv.start)
+    terminal_pos = {p for t in terminals for p in t.positions}
+    dipaths = []
+    if terminals:
+        flags = [p in terminal_pos for p in range(r)]
+        for start, length in _cyclic_runs([int(b) for b in flags]):
+            if flags[start]:
+                continue
+            positions = tuple((start + t) % r for t in range(length))
+            dipaths.append(fa.Interval(
+                face=face, kind=fa.INTERVAL_DIPATH, positions=positions))
+        dipaths.sort(key=lambda iv: iv.start)
+    return fa.FaceDecomposition(
+        face=face,
+        strong_intervals=tuple(sorted(strong_intervals, key=lambda iv: iv.start)),
+        terminals=tuple(terminals),
+        dipaths=tuple(dipaths),
+    )
+
+
+def test_decompose_face_matches_run_scan_reference():
+    """Equal decompositions on every face, open or not, including the
+    faces of length 1 and 2 of condensed graphs."""
+    graphs = list(_open_face_graphs())
+    graphs += [sc.condense(D).condensed for D in graphs[891:]]
+    faces = wrapped = short = 0
+    for D in graphs:
+        for f in range(D.f):
+            dec = fa.decompose_face(D, f)
+            assert dec == decompose_face_reference(D, f)
+            faces += 1
+            short += len(D.faces[f]) <= 2
+            wrapped += any(iv.positions != tuple(sorted(iv.positions))
+                           for iv in dec.strong_intervals + dec.dipaths)
+    assert (faces, short, wrapped) == (4220, 210, 391)

@@ -79,6 +79,16 @@ def test_foreign_darts_are_stale(simple_square):
                 pg.insert_arcs(D, [pair])
 
 
+@pytest.mark.parametrize("mode", ["digon", "Oriented"])
+def test_unknown_completion_mode_is_a_value_error(path3, mode):
+    from orient_augment import solvers as sv
+
+    with pytest.raises(ValueError, match=f"^unknown mode {mode!r}$"):
+        pg.insert_arcs(path3, [], mode=mode)
+    assert sv.verify_solution(path3, pg.EMPTY_COMPLETION, mode) == (
+        False, f"ValueError: unknown mode {mode!r}")
+
+
 def test_k4_faces():
     D = build_k4()
     assert D.f == 4

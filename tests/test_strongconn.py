@@ -1,6 +1,7 @@
 import pytest
 
 from orient_augment import enumerate_plane as ep
+from orient_augment import hardness as hg
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
@@ -293,3 +294,81 @@ def test_split_builds_each_part_once(monkeypatch):
     parts = sc.split_loops(D)
     assert len(parts) == len(calls) == 50
     assert [p.arc_back for p in parts] == [(2 * i + 1,) for i in range(50)]
+
+
+def scc_of_arcs_reference(n, arcs):
+    """Tarjan as first written: each work-stack frame holds (vertex, next
+    adjacency index) and an on-stack flag array."""
+    adj = [[] for _ in range(n)]
+    for u, v in arcs:
+        if u != v:
+            adj[u].append(v)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comp = [-1] * n
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+            work.pop()
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[v])
+    return comp
+
+
+def test_scc_of_arcs_matches_reference():
+    """Equal component ids, in the same sinks-first order, on the n <= 5
+    corpus, random graphs at n = 9..16, their condensations (loops and
+    parallel arcs) and the one-clause hardness instance, with the arcs in
+    id order and reversed."""
+    graphs = list(ep.oriented_corpus(5))
+    for n in range(9, 17):
+        for seed in range(6):
+            m = (n - 1) + (seed * 7919) % (2 * n - 5)
+            mode = "directed" if seed % 3 == 0 else "oriented"
+            graphs.append(pog_io.gen_random(n, m, seed=seed, mode=mode))
+    condensed = [sc.condense(D).condensed for D in graphs[891:]]
+    assert sum(u == v for C in condensed for u, v in C.arcs) > 20
+    assert sum(len(C.arcs) - len(set(C.arcs)) for C in condensed) > 20
+    phi = hg.PlanarCnf(n_vars=3, clauses=(((0, True), (1, False), (2, False)),),
+                       rotv=((0,), (0,), (0,)))
+    graphs += condensed + [hg.reduce_formula(phi).graph]
+    several = 0
+    for D in graphs:
+        for arcs in (D.arcs, D.arcs[::-1]):
+            comp = sc.scc_of_arcs(D.n, arcs)
+            assert comp == scc_of_arcs_reference(D.n, arcs)
+        several += max(comp) > 0
+    assert several > 500

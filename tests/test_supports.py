@@ -230,6 +230,51 @@ def test_families_match_reference():
     assert compared > 1000
 
 
+def long_path(n):
+    """Directed path 0 -> 1 -> ... -> n - 1: one chordless face whose two
+    interval dipaths hold n - 2 angles each."""
+    rotation = [(0,)] + [(2 * i - 1, 2 * i) for i in range(1, n - 1)]
+    return pg.build(n, [(i, i + 1) for i in range(n - 1)],
+                    rotation + [(2 * n - 3,)])
+
+
+def test_supported_on_interval_matches_family_product():
+    """Every endpoint set of every size on every interval gets the answer
+    of the level-q lefts x rights loop over the reference families.  The
+    long paths hold intervals of 6..10 angles, where sets of 2q < r angles
+    can be rejected."""
+    from itertools import combinations
+    from orient_augment import enumerate_plane as ep
+
+    graphs = list(ep.oriented_corpus(5))
+    graphs += [
+        pog_io.gen_random(n, m, seed)
+        for n in range(6, 13)
+        for m in (n - 1, 2 * n - 3, 3 * n - 6)
+        for seed in range(3)
+    ]
+    graphs.append(external_chord_pentagon()[0])
+    graphs += [long_path(n) for n in range(8, 13)]
+    checked = rejected = 0
+    for D in graphs:
+        for f in range(D.f):
+            for iv in fa.decompose_face(D, f).intervals():
+                backwards = iv.positions[::-1]
+                for q in range(1, len(iv) + 1):
+                    lefts = family_reference(D, f, iv.positions, q)
+                    rights = family_reference(D, f, backwards, q)
+                    for w in combinations(iv.positions, q):
+                        want = any(set(w) <= bl | br
+                                   for bl in lefts for br in rights)
+                        # repeated endpoints count once
+                        for ends in (list(w), list(w[::-1] + w[:1])):
+                            got = sp.is_supported_on_interval(D, iv, ends)
+                            assert got == want, (f, iv, w)
+                        checked += 1
+                        rejected += not want
+    assert checked > 15000 and rejected > 500
+
+
 def test_stack_angles_land_in_left_family():
     # exhaustively left-shift endpoints of brute minima; the resulting
     # left-stack angles on each interval must form a left support member
