@@ -5,9 +5,11 @@ exact covering search draws arcs from), candidate lists for simple faces
 (small constant lists), and the digon-allowed variant where completions
 attach only to local terminal angles of an acyclic instance; plus the
 joint branches over alternating faces that the Monte-Carlo mode walks.
-Both per-face lists come from one kernel, ``_noncrossing``: a depth-first
+Every per-face list comes from one kernel, ``_noncrossing``: a depth-first
 walk over bitmasks of candidate arcs that keeps the Eswaran-Tarjan floor
-as the set grows and hands back candidate-index sets.
+as the set grows and hands back each set as a row, one ``((tail dart,
+head dart), (u, v))`` per arc.  The exact covering search reads the rows
+(``*_rows``); the three public lists wrap them into ``Completion``s.
 """
 
 from __future__ import annotations
@@ -101,9 +103,17 @@ def supported_completions(
     minimal_only: bool = False,
     bounded: bool = False,
 ) -> Iterator[pg.Completion]:
+    """The members of ``supported_rows``, as completions."""
+    yield from _completions(
+        D, supported_rows(D, face, budget, minimal_only, bounded))
+
+
+def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
+                   minimal_only: bool = False,
+                   bounded: bool = False) -> list[tuple]:
     """Every supported completion of the face with at most ``budget`` arcs,
-    the empty one first.  Emitted completions embed crossing-free and keep
-    the graph oriented.
+    as rows, the empty one first.  Emitted completions embed crossing-free
+    and keep the graph oriented.
 
     With ``minimal_only``, only completions a minimum solution could
     restrict to: no arc whose head its tail already reaches (reroute via
@@ -113,20 +123,8 @@ def supported_completions(
     (``SccPartition.solution_floor``) exceeds it is dropped.  Each rule
     rejects every superset of a rejected set, so they prune the recursion
     exactly and the survivors keep their order."""
-    yield pg.EMPTY_COMPLETION
-    cands, sets = _supported_sets(D, face, budget, minimal_only, bounded)
-    yield from _completions(D, face, cands, sets)
-
-
-def _supported_sets(D: pg.PlaneDigraph, face: int, budget: int,
-                    minimal_only: bool, bounded: bool) -> tuple[list, list]:
-    """The candidate arcs of ``supported_completions`` and, as rising
-    candidate indices, its non-empty completions in order."""
     if budget <= 0:
-        return [], []
-    ivs = fa.decompose_face(D, face).intervals()
-    if not ivs:
-        return [], []
+        return [()]
     walk = D.faces[face]
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
@@ -140,7 +138,10 @@ def _supported_sets(D: pg.PlaneDigraph, face: int, budget: int,
             if not blocked >> v & 1:
                 cands.append((i, j, u, v))
     if not cands:
-        return [], []
+        return [()]
+    ivs = fa.decompose_face(D, face).intervals()
+    if not ivs:
+        return [()]
     pool: set[int] = set()
     for iv in ivs:
         pool |= sp.support_pool(D, iv, 2 * budget)
@@ -166,32 +167,30 @@ def _supported_sets(D: pg.PlaneDigraph, face: int, budget: int,
         return True
 
     pairs = [frozenset((label[u], label[v])) for _, _, u, v in cands]
-    return cands, _noncrossing(D, len(walk), cands, pairs, budget, bounded,
-                               supported)
+    return [(), *_noncrossing(D, walk, cands, pairs, budget, bounded,
+                              supported)]
 
 
-def _completions(D: pg.PlaneDigraph, face: int, cands: list,
-                 sets: list[tuple[int, ...]]) -> list[pg.Completion]:
-    """The completions of candidate-index sets of one face."""
-    walk = D.faces[face]
-    return [D.completion_from_darts(
-        [(walk[cands[x][0]], walk[cands[x][1]]) for x in xs]) for xs in sets]
+def _completions(D: pg.PlaneDigraph, rows: list) -> list[pg.Completion]:
+    """The completions of rows, the empty row as ``EMPTY_COMPLETION``."""
+    return [D.completion_from_darts([d for d, _ in row]) if row
+            else pg.EMPTY_COMPLETION for row in rows]
 
 
 def _noncrossing(
     D: pg.PlaneDigraph,
-    r: int,
+    walk: tuple[int, ...],
     cands: list[tuple[int, int, int, int]],
     pair: Sequence[Hashable],
     budget: int,
     bounded: bool,
     accept: Optional[Callable[[list[int]], bool]] = None,
-) -> list[tuple[int, ...]]:
+) -> list[tuple]:
     """The enumeration kernel of both modes: the sets of at most ``budget``
-    candidate arcs (positions i, j on a walk of length ``r``, vertices u,
-    v) that cross nowhere and hold at most one arc per pair id ``pair[x]``,
-    depth first in candidate order, that ``accept`` takes (all when None),
-    as rising candidate indices.
+    candidate arcs (positions i, j on the face ``walk``, vertices u, v)
+    that cross nowhere and hold at most one arc per pair id ``pair[x]``,
+    depth first in candidate order, that ``accept`` takes (all when None;
+    it sees rising candidate indices), as rows in candidate order.
 
     A node's children are one bitmask: the later candidates no chosen one
     excludes.  A chord excludes those with one end strictly on each side of
@@ -207,6 +206,8 @@ def _noncrossing(
     # source -> candidates entering it, sink -> those leaving it
     into = dict.fromkeys(part.sources if bounded else (), 0)
     out_of = dict.fromkeys(part.sinks if bounded else (), 0)
+    r = len(walk)
+    row = [((walk[i], walk[j]), (u, v)) for i, j, u, v in cands]
     same: dict[Hashable, int] = {}
     at = [0] * r                                # position -> arcs ending there
     for x, (i, j, u, v) in enumerate(cands):
@@ -235,7 +236,7 @@ def _noncrossing(
             x = low.bit_length() - 1
             chosen.append(x)
             if accept is None or accept(chosen):
-                out.append(tuple(chosen))
+                out.append(tuple(map(row.__getitem__, chosen)))
             if room > 1 and free:
                 i, j, u, v = cands[x]
                 if excluded[x] is None:
@@ -265,8 +266,13 @@ def _noncrossing(
 def simple_face_candidates(
     D: pg.PlaneDigraph, face: int
 ) -> list[pg.Completion]:
-    """Candidate completions of a simple face: the inclusion-maximal
-    supported completions with at most three arcs.
+    """The members of ``simple_face_rows``, as completions."""
+    return _completions(D, simple_face_rows(D, face))
+
+
+def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
+    """Candidate completions of a simple face, as rows: the
+    inclusion-maximal supported completions with at most three arcs.
 
     A minimum solution restricted to the face is a supported completion of
     at most three arcs, hence a subset of some member; the candidate-arc
@@ -274,8 +280,8 @@ def simple_face_candidates(
     maximal members loses nothing.  Every member is dominated by no other
     (adding arcs only coarsens the strong-component partition of the
     face-induced subgraph), and each dominates-or-equals every completion
-    it covers.  Domination is read off the kernel's candidate-index sets,
-    and only the members kept become ``Completion``s."""
+    it covers.  Domination is read off the rows, and the list is cached
+    per graph."""
     dec = fa.decompose_face(D, face)
     if dec.local_terminal_count != 2:
         raise NotSimpleFace(
@@ -285,13 +291,12 @@ def simple_face_candidates(
     cached = D._analysis_cache.get(key)
     if cached is not None:
         return cached
-    cands, sets = _supported_sets(D, face, 3, minimal_only=True,
-                                  bounded=False)
+    rows = supported_rows(D, face, 3, minimal_only=True)[1:]
     # the proper subsets of every member (at most 3 arcs: 6 each) are
-    # exactly the dominated ones; rising index tuples compare as sets
-    inside = {sub for xs in sets for r in range(1, len(xs))
+    # exactly the dominated ones; rows in candidate order compare as sets
+    inside = {sub for xs in rows for r in range(1, len(xs))
               for sub in combinations(xs, r)}
-    out = _completions(D, face, cands, [xs for xs in sets if xs not in inside])
+    out = [xs for xs in rows if xs not in inside]
     D._analysis_cache[key] = out
     return out
 
@@ -381,13 +386,20 @@ def _reachability(D: pg.PlaneDigraph) -> list[int]:
 def directed_supported_completions(
     D: pg.PlaneDigraph, face: int, budget: int, bounded: bool = False
 ) -> list[pg.Completion]:
+    """The members of ``directed_supported_rows``, as completions."""
+    return _completions(D, directed_supported_rows(D, face, budget, bounded))
+
+
+def directed_supported_rows(
+    D: pg.PlaneDigraph, face: int, budget: int, bounded: bool = False
+) -> list[tuple]:
     """Completions of an acyclic-mode face attaching only to local terminal
-    angles: non-crossing arc sets, digons with existing arcs allowed,
-    parallels excluded, and arcs whose head is already reachable from their
-    tail dropped (a minimum solution never contains one).  With
-    ``bounded``, ``budget`` caps a whole solution and arc sets whose
-    Eswaran-Tarjan floor exceeds it are pruned with their supersets, as in
-    ``supported_completions``.
+    angles, as rows, the empty one first: non-crossing arc sets, digons
+    with existing arcs allowed, parallels excluded, and arcs whose head is
+    already reachable from their tail dropped (a minimum solution never
+    contains one).  With ``bounded``, ``budget`` caps a whole solution and
+    arc sets whose Eswaran-Tarjan floor exceeds it are pruned with their
+    supersets, as in ``supported_rows``.
 
     A face with two local terminals admits exactly one non-empty such
     completion: the arc from its sink angle to its source angle.
@@ -400,6 +412,5 @@ def directed_supported_completions(
     # the vertex itself, and the head of an existing arc, are reached too
     cands = [(i, j, u, v) for i, u in ends for j, v in ends
              if not reach[u] >> v & 1]
-    return [pg.EMPTY_COMPLETION, *_completions(D, face, cands, _noncrossing(
-        D, len(walk), cands, [(u, v) for _, _, u, v in cands], budget,
-        bounded))]
+    return [(), *_noncrossing(D, walk, cands, [(u, v) for *_, u, v in cands],
+                              budget, bounded)]

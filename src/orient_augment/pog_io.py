@@ -17,7 +17,8 @@ import random
 from typing import Optional
 
 from . import plane_graph as pg
-from .errors import InfeasibleParameters, ParseError
+from .errors import (DuplicateArcEnd, InfeasibleParameters,
+                     ModeViolation, ParseError)
 
 
 def write_pog(D: pg.PlaneDigraph) -> str:
@@ -101,10 +102,36 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
             rotation[v] = tuple(ring)
         else:
             raise ParseError(f"line {ln}: unknown record {parts[0]!r}")
-    if any(a is None for a in arcs):
-        raise ParseError("missing arc lines")
+    if None in arcs:
+        raise ParseError(f"line 1, field 4: missing arc lines for ids "
+                         f"{[a for a, uv in enumerate(arcs) if uv is None]}")
     rotation = [r if r is not None else () for r in rotation]
-    return pg.build(n, arcs, rotation, mode=mode)
+    try:
+        return pg.build(n, arcs, rotation, mode=mode)
+    except (DuplicateArcEnd, ModeViolation) as exc:
+        where = _where(lines, arcs, rotation, mode, exc)
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _where(lines: list[str], arcs: list, rotation: list, mode: str,
+           exc: Exception) -> str:
+    """``line N[, field F]`` of the record that ``build`` rejected."""
+    at = {(p[0], int(p[1])): ln
+          for ln, p in enumerate(map(str.split, lines), start=1)
+          if p[:1] in (["a"], ["r"])}
+    if isinstance(exc, ModeViolation):  # the first arc breaking the mode
+        earlier: set[tuple[int, int]] = set()
+        for a, (u, v) in enumerate(arcs):
+            if u == v or (u, v) in earlier or (
+                    mode == pg.MODE_ORIENTED and (v, u) in earlier):
+                return f"line {at['a', a]}"
+            earlier.add((u, v))
+    for v, ring in enumerate(rotation):  # an end listed at another vertex
+        for col, d in enumerate(ring, start=3):
+            if arcs[d >> 1][d & 1] != v:
+                return f"line {at['r', v]}, field {col}"
+    d = min(set(range(2 * len(arcs))).difference(*rotation))  # in no ring
+    return f"line {at['a', d >> 1]}, field {3 + (d & 1)}"
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,7 @@ def _cover(
     D: pg.PlaneDigraph,
     k: int,
     arc_mode: str,
-    members: Callable[[int], list[list[pg.Completion]]],
+    members: Callable[[int], list[list[tuple]]],
     stats: SolveStats,
 ) -> Optional[list[tuple[int, int]]]:
     """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
@@ -393,7 +393,9 @@ def _cover(
 
     For ``b`` over ``_levels``, one covering search with cap ``b``
     (``strongconn.cover_search``) on the component DAG, over the distinct
-    arcs of the members that ``members(b)`` lists per open face.  It
+    arcs of the members that ``members(b)`` lists per open face as rows
+    of ``completion_enum`` (one ``((tail dart, head dart), (u, v))`` per
+    arc; only the witness becomes a ``Completion``, in the caller).  It
     accepts a set when one member of each face holds all of its arcs
     there and no vertex pair is joined twice (in oriented mode not even
     reversed); members embed legally and avoid the host's arcs, so every
@@ -408,12 +410,11 @@ def _cover(
     oriented = arc_mode == pg.MODE_ORIENTED
     for b in _levels(D, k, arc_mode):
         arcs: list[_MemberArc] = []
-        for i, cs in enumerate(members(b)):
+        for i, rows in enumerate(members(b)):
             held: dict[tuple[int, int], list] = {}
-            for m, c in enumerate(cs):
-                for a in c.arcs:
-                    darts = (a.tail.dart, a.head.dart)
-                    held.setdefault(darts, [0, a.ends])[0] |= 1 << m
+            for m, row in enumerate(rows):
+                for darts, ends in row:
+                    held.setdefault(darts, [0, ends])[0] |= 1 << m
             arcs += [_MemberArc(i, ms, e, d) for d, (ms, e) in held.items()]
 
         def usable(chosen: list[int], i: int) -> bool:
@@ -620,11 +621,9 @@ def solve_oriented(
         if known:
             return _report(pg.MODE_ORIENTED, k, stats, witness)
         best = _cover(D, k, pg.MODE_ORIENTED, lambda b: [
-            list(ce.supported_completions(D, f, b, minimal_only=True,
-                                          bounded=True))
+            ce.supported_rows(D, f, b, minimal_only=True, bounded=True)
             for f in fa.alternating_faces(D)
-        ] + [ce.simple_face_candidates(D, f) for f in fa.simple_faces(D)],
-            stats)
+        ] + [ce.simple_face_rows(D, f) for f in fa.simple_faces(D)], stats)
     else:
         best = _branch_loop(D, k, stats,
                             default_trials(k) if trials is None else trials,
@@ -653,7 +652,7 @@ def _solve_directed_part(
     if sc.is_strong(part):
         return []
     return _cover(part, kmax, pg.MODE_DIRECTED, lambda b: [
-        ce.directed_supported_completions(part, f, b, bounded=True)
+        ce.directed_supported_rows(part, f, b, bounded=True)
         for f in range(part.f)
     ], stats)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from orient_augment import plane_graph as pg
+from orient_augment import pog_io
 
 
 @pytest.fixture
@@ -31,6 +32,17 @@ def simple_square():
 def alternating_square():
     """4-cycle with two sources (0, 2) and two sinks (1, 3)."""
     return pg.build(4, [(0, 1), (2, 1), (2, 3), (0, 3)], [(0, 6), (1, 3), (2, 4), (5, 7)])
+
+
+@pytest.fixture(scope="session")
+def random78():
+    """Instance i of the random n = 7/8 acceptance set, as a function of i
+    (the formula of test_acceptance.random_instances)."""
+    def make(i):
+        n = 7 + (i % 2)
+        m = (n - 1) + (i * 7919) % (3 * n - 6 - (n - 1) + 1)
+        return pog_io.gen_random(n, m, seed=1000 + i)
+    return make
 
 
 def build_cycle(orientations):

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import pytest
 
@@ -446,4 +447,46 @@ def test_kernel_matches_reference_recursions():
                         assert got == pairs(
                             directed_supported_completions_reference(P, f, b, bd))
                         checked += len(got) > 1
+    assert checked > 1000
+
+
+def row_graphs(random78):
+    """The first 150 random n = 7/8 acceptance instances and both
+    many-simple-face fixtures, each with its condensation and that
+    condensation's loopless parts."""
+    data = pathlib.Path(__file__).parent / "data"
+    hosts = [pog_io.parse_pog((data / f"planted_multi_{j}.pog").read_text())
+             for j in (7, 12)]
+    for D in hosts + [random78(i) for i in range(150)]:
+        cond = sc.condense(D).condensed
+        yield D, False
+        yield cond, True
+        yield from ((part.graph, True) for part in sc.split_loops(cond))
+
+
+def test_rows_are_the_public_lists_in_order(random78):
+    # the exact search reads rows; the public lists are the reference, so
+    # it sees the same members, arcs and order as they do.  Lists are
+    # bounded, as the search draws them (unbounded ones run to 10^5 rows)
+    def rows(cs):
+        return [tuple(((a.tail.dart, a.head.dart), a.ends) for a in c.arcs)
+                for c in cs]
+
+    checked = 0
+    for D, directed in row_graphs(random78):
+        for f in range(D.f):
+            for b in range(4):
+                for mo in (False, True):
+                    got = ce.supported_rows(D, f, b, mo, bounded=True)
+                    assert got == rows(ce.supported_completions(
+                        D, f, b, mo, bounded=True))
+                    checked += len(got) > 1
+                if directed:
+                    got = ce.directed_supported_rows(D, f, b, bounded=True)
+                    assert got == rows(ce.directed_supported_completions(
+                        D, f, b, bounded=True))
+                    checked += len(got) > 1
+        for f in fa.simple_faces(D):
+            assert ce.simple_face_rows(D, f) == rows(
+                ce.simple_face_candidates(D, f))
     assert checked > 1000

@@ -8,7 +8,8 @@ from orient_augment import hardness as hg
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
-from orient_augment.errors import InfeasibleParameters, ParseError
+from orient_augment.errors import (DuplicateArcEnd, InfeasibleParameters,
+                                   ModeViolation, ParseError)
 
 
 def test_pog_roundtrip_byte_exact(triangle):
@@ -121,6 +122,37 @@ def test_parse_forwards_mode_violation():
     digon = "pog oriented 2 2\na 0 0 1\na 1 1 0\nr 0 0+ 1-\nr 1 1+ 0-\n"
     with pytest.raises(ModeViolation):
         pog_io.parse_pog(digon)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("pog oriented 2 1\na 0 0 1\nr 0 0-\nr 1 0+\n", DuplicateArcEnd,
+     "line 3, field 3: arc end 1 listed at vertex 0, belongs to 1"),
+    ("pog oriented 3 2\na 0 0 1\na 1 1 2\nr 0 0+\nr 1 0- 1+ 1-\nr 2\n",
+     DuplicateArcEnd, "line 5, field 5: arc end 3 listed at vertex 1, "
+                      "belongs to 2"),
+    ("pog oriented 2 1\na 0 0 1\nr 0 0+\nr 1\n", DuplicateArcEnd,
+     "line 2, field 4: arc ends missing from rotations: [1]"),
+    ("pog oriented 2 1\n# tail end unlisted\na 0 0 1\n\nr 1 0-\n",
+     DuplicateArcEnd, "line 3, field 3: arc ends missing from rotations: [0]"),
+    ("pog oriented 2 1\na 0 0 0\nr 0 0+ 0-\nr 1\n", ModeViolation,
+     "line 2: loop at vertex 0 is illegal in mode oriented"),
+    ("pog directed 2 2\na 0 0 1\na 1 0 1\nr 0 0+ 1+\nr 1 1- 0-\n",
+     ModeViolation, "line 3: parallel arcs 0->1 in mode directed"),
+    # arc lines out of id order: the digon's second arc in id order is 1
+    ("pog oriented 3 3\na 2 0 1\na 0 1 2\na 1 2 1\nr 1 2- 0+ 1-\nr 0 2+\n"
+     "r 2 0- 1+\n", ModeViolation, "line 4: digon between 2 and 1 in "
+                                   "oriented mode"),
+    ("pog oriented 3 2\n# c\na 1 1 2\nr 0\nr 1 1+\nr 2 1-\n", ParseError,
+     "line 1, field 4: missing arc lines for ids [0]"),
+])
+def test_build_errors_name_the_line(tmp_path, capsys, text, error, message):
+    with pytest.raises(error) as err:
+        pog_io.parse_pog(text)
+    assert type(err.value) is error and str(err.value) == message
+    f = tmp_path / "bad.pog"
+    f.write_text(text)
+    assert cli.main(["solve", str(f), "-k", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_gen_random_deterministic_and_valid():

@@ -426,3 +426,69 @@ def test_report_json_counts_search_nodes():
     D = pog_io.parse_pog((DATA / "planted_multi_12.pog").read_text())
     stats = sv.solve_oriented(D, 3).to_json_dict()["statistics"]
     assert stats["search_nodes"] > 0 and stats["dijoin_calls"] == 0
+
+
+# (instance, k, oriented, directed), each solver's answer as (verdict,
+# optimum, sorted witness key), recorded before the exact path read its
+# members as dart/end rows instead of Completion objects
+WITNESS_PINS = [
+    ("octagon", 3, (False, None, None), (False, None, None)),
+    ("octagon", 4, (True, 4, [(0, 3, 8), (0, 11, 0), (1, 5, 10), (1, 13, 2)]),
+     (True, 4, [(0, 3, 0), (0, 7, 4), (0, 11, 8), (0, 15, 12)])),
+    ("planted_multi_7", 3,
+     (True, 3, [(3, 5, 134), (6, 18, 78), (12, 77, 144)]),
+     (True, 3, [(3, 37, 134), (6, 81, 78), (12, 77, 144)])),
+    ("planted_multi_12", 3, (True, 2, [(11, 66, 92), (21, 153, 126)]),
+     (True, 2, [(11, 69, 92), (21, 153, 152)])),
+    (0, 3, (True, 3, [(0, 5, 10), (0, 7, 9), (0, 9, 0)]),
+     (True, 3, [(0, 5, 10), (0, 7, 0), (0, 9, 0)])),
+    (7, 3, (True, 3, [(0, 10, 12), (1, 19, 2), (1, 19, 4)]),
+     (True, 3, [(1, 2, 4), (1, 21, 2), (3, 13, 16)])),
+    (14, 3, (True, 2, [(2, 7, 18), (4, 11, 6)]), (True, 1, [(2, 7, 16)])),
+    (21, 3, (True, 3, [(1, 1, 18), (1, 5, 12), (1, 9, 12)]),
+     (True, 3, [(1, 1, 18), (1, 5, 1), (1, 9, 12)])),
+    (28, 3, (True, 3, [(1, 1, 5), (1, 5, 14), (2, 11, 2)]),
+     (True, 3, [(1, 1, 14), (1, 5, 1), (2, 11, 2)])),
+    (35, 3, (False, None, None), (False, None, None)),
+    (42, 3, (False, None, None), (True, 1, [(7, 19, 10)])),
+    (49, 3, (False, None, None), (True, 2, [(1, 11, 32), (4, 9, 4)])),
+    (56, 3, (False, None, None),
+     (True, 3, [(1, 1, 2), (1, 1, 8), (3, 17, 12)])),
+    (63, 3, (False, None, None),
+     (True, 3, [(2, 27, 2), (5, 13, 28), (6, 23, 8)])),
+    (70, 3, (True, 3, [(0, 3, 6), (0, 9, 10), (0, 11, 0)]),
+     (True, 3, [(0, 3, 6), (0, 9, 10), (0, 11, 0)])),
+    (77, 3, (True, 2, [(0, 0, 12), (3, 5, 14)]),
+     (True, 2, [(2, 25, 2), (3, 5, 4)])),
+    (84, 3, (True, 2, [(0, 4, 0), (0, 13, 4)]),
+     (True, 2, [(0, 0, 4), (0, 13, 0)])),
+    (91, 3, (True, 3, [(0, 3, 4), (4, 7, 11), (4, 11, 20)]),
+     (True, 3, [(0, 5, 4), (3, 17, 6), (4, 11, 7)])),
+    (98, 3, (False, None, None), (False, None, None)),
+    (105, 3, (False, None, None),
+     (True, 3, [(0, 0, 8), (1, 1, 6), (1, 3, 10)])),
+    (112, 3, (False, None, None), (True, 1, [(4, 13, 4)])),
+    (119, 3, (False, None, None), (False, None, None)),
+    (126, 3, (True, 2, [(0, 7, 0), (4, 9, 11)]),
+     (True, 2, [(0, 7, 6), (4, 9, 8)])),
+    (133, 3, (False, None, None), (True, 1, [(2, 29, 4)])),
+    (140, 3, (True, 3, [(0, 1, 6), (0, 3, 8), (0, 5, 10)]),
+     (True, 3, [(0, 1, 6), (0, 3, 8), (0, 5, 10)])),
+    (147, 3, (True, 1, [(0, 13, 18)]), (True, 1, [(0, 13, 12)])),
+]
+
+
+@pytest.mark.parametrize("name, k, oriented, directed", WITNESS_PINS)
+def test_exact_witnesses_are_pinned(alternating_octagon, random78, name, k,
+                                    oriented, directed):
+    if name == "octagon":
+        D = alternating_octagon
+    elif isinstance(name, int):
+        D = random78(name)
+    else:
+        D = pog_io.parse_pog((DATA / f"{name}.pog").read_text())
+    for solve, pinned in ((sv.solve_oriented, oriented),
+                          (sv.solve_directed, directed)):
+        rep = solve(fresh(D), k)
+        key = None if rep.witness is None else sorted(rep.witness.key())
+        assert (rep.verdict, rep.optimum, key) == pinned
