@@ -16,12 +16,16 @@ an angle are embedded in this gap.
 The per-dart tables (rotation successor, face, position on the face's walk)
 are flat tuples indexed by dart; as a negative index would wrap, every entry
 point taking an outside dart checks ``0 <= dart < 2m`` (else ``StaleAngle``).
+``build`` fills the rotation-successor table in the same pass that checks
+the rings, and checks the mode and connectivity on flat tables too; the
+ordered check loops run only after a check has failed, to name the first
+error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .errors import (
     CrossingArcs,
@@ -167,9 +171,6 @@ class PlaneDigraph:
         a = self.arcs[dart >> 1]
         return a[0] if (dart & 1) == 0 else a[1]
 
-    def rot_next(self, dart: int) -> int:
-        return self._rot_next[dart]
-
     def face_of_dart(self, dart: int) -> int:
         return self._dart_face[dart]
 
@@ -268,16 +269,8 @@ def _validate_mode(arcs: Sequence[tuple[int, int]], mode: str) -> None:
             seen_unordered.add(key)
 
 
-def _trace_faces(
-    arcs: Sequence[tuple[int, int]],
-    rotation: Sequence[tuple[int, ...]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...],
-           tuple[int, ...]]:
-    rot_next = [0] * (2 * len(arcs))
-    for ring in rotation:
-        for d, e in zip(ring, ring[1:] + ring[:1]):
-            rot_next[d] = e
-
+def _trace_faces(rot_next: list[int]) -> tuple[
+        tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
     dart_face = [-1] * len(rot_next)
     dart_pos = [0] * len(rot_next)
     faces: list[tuple[int, ...]] = []
@@ -295,7 +288,33 @@ def _trace_faces(
                 break
         faces.append(tuple(walk))
     # tuples of ints, unlike lists, drop out of the collector's tracking
-    return tuple(faces), tuple(dart_face), tuple(dart_pos), tuple(rot_next)
+    return tuple(faces), tuple(dart_face), tuple(dart_pos)
+
+
+def _first_error(n: int, arcs: tuple, rotation: tuple, mode: str) -> NoReturn:
+    """Raise the first error of ``build``'s checks, in their order: arc
+    ends out of range, the mode, the ring count, each ring entry in ring
+    order, unlisted arc ends.  Runs only once the one pass has failed."""
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DuplicateArcEnd(f"arc ({u},{v}) references missing vertex")
+    _validate_mode(arcs, mode)
+    if len(rotation) != n:
+        raise DuplicateArcEnd("rotation must list every vertex")
+    expected_vertex = [v for uv in arcs for v in uv]  # dart -> its vertex
+    nd = len(expected_vertex)
+    seen = bytearray(nd)
+    for v, ring in enumerate(rotation):
+        for d in ring:
+            if not 0 <= d < nd or seen[d] or expected_vertex[d] != v:
+                owner = expected_vertex[d] if 0 <= d < nd else None
+                if owner is not None and seen[d]:
+                    raise DuplicateArcEnd(f"arc end {d} appears twice")
+                raise DuplicateArcEnd(
+                    f"arc end {d} listed at vertex {v}, belongs to {owner}")
+            seen[d] = 1
+    missing = [d for d in range(nd) if not seen[d]]
+    raise DuplicateArcEnd(f"arc ends missing from rotations: {missing}")
 
 
 def build(
@@ -308,84 +327,78 @@ def build(
     """Build and validate a plane digraph from its rotation system.
 
     Faces are traced from the rotations.  Raises ``DuplicateArcEnd`` when
-    the rotation lists do not mention each arc end exactly once at its own
-    vertex, ``ModeViolation`` for simplicity violations, and
-    ``NonSphericalEmbedding`` when the graph is connected but the Euler
-    relation fails.  A disconnected underlying graph is flagged, not fatal.
+    an arc names a missing vertex or the rotation lists do not mention
+    each arc end exactly once at its own vertex, ``ModeViolation`` for
+    simplicity violations, and ``NonSphericalEmbedding`` when the graph is
+    connected but the Euler relation fails.  A disconnected underlying
+    graph is flagged, not fatal.  The checks take one pass: the mode on
+    one integer key per arc, each ring while its rotation successors are
+    filled in, connectivity by a search over the rings; only when one
+    fails do the ordered checks of ``_first_error`` run, to name the
+    first error.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    arcs = tuple((int(u), int(v)) for u, v in arcs)
-    for u, v in arcs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise DuplicateArcEnd(f"arc ({u},{v}) references missing vertex")
-    _validate_mode(arcs, mode)
-
-    expected_vertex = [v for uv in arcs for v in uv]  # dart -> its vertex
-    nd = len(expected_vertex)
-    seen = bytearray(nd)
-    rotation = tuple(tuple(ring) for ring in rotation)
+    arcs = tuple([(int(u), int(v)) for u, v in arcs])
+    rotation = tuple([tuple(ring) for ring in rotation])
+    m = len(arcs)
+    vert = [v for uv in arcs for v in uv]  # dart -> its vertex
+    nd = 2 * m
+    if vert and (min(vert) < 0 or max(vert) >= n):
+        _first_error(n, arcs, rotation, mode)
+    if mode != MODE_MULTI:
+        # one key per arc: its vertex pair, unordered in oriented mode, or
+        # -1 for a loop; with -1 added, a legal arc list has m + 1 keys
+        if mode == MODE_ORIENTED:
+            keys = {u * n + v if u < v else v * n + u if v < u else -1
+                    for u, v in arcs}
+        else:
+            keys = {u * n + v if u != v else -1 for u, v in arcs}
+        keys.add(-1)
+        if len(keys) <= m:
+            _first_error(n, arcs, rotation, mode)
     if len(rotation) != n:
-        raise DuplicateArcEnd("rotation must list every vertex")
+        _first_error(n, arcs, rotation, mode)
+
+    # Each ring is walked backwards from its first entry, so every dart is
+    # range-checked before it is written; -1 marks an end no ring lists.
+    rot_next = [-1] * nd
     for v, ring in enumerate(rotation):
-        for d in ring:
-            if not 0 <= d < nd or seen[d] or expected_vertex[d] != v:
-                owner = expected_vertex[d] if 0 <= d < nd else None
-                if owner is not None and seen[d]:
-                    raise DuplicateArcEnd(f"arc end {d} appears twice")
-                raise DuplicateArcEnd(
-                    f"arc end {d} listed at vertex {v}, belongs to {owner}")
-            seen[d] = 1
-    if 0 in seen:
-        missing = [d for d in range(nd) if not seen[d]]
-        raise DuplicateArcEnd(f"arc ends missing from rotations: {missing}")
+        e = ring[0] if ring else -1
+        for d in reversed(ring):
+            if not 0 <= d < nd or rot_next[d] >= 0 or vert[d] != v:
+                _first_error(n, arcs, rotation, mode)
+            rot_next[d] = e
+            e = d
+    if -1 in rot_next:
+        _first_error(n, arcs, rotation, mode)
 
-    faces, dart_face, dart_pos, rot_next = _trace_faces(arcs, rotation)
+    faces, dart_face, dart_pos = _trace_faces(rot_next)
 
-    connected = _underlying_connected(n, arcs)
+    connected = True
+    if n > 1:  # a search over the rings; other[d] is the far end of dart d
+        other = [0] * nd
+        other[0::2] = vert[1::2]
+        other[1::2] = vert[0::2]
+        seen = [True] + [False] * (n - 1)
+        stack = [0]
+        while stack:
+            for d in rotation[stack.pop()]:
+                w = other[d]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        connected = all(seen)
     if connected and arcs:
-        if n - len(arcs) + len(faces) != 2:
+        if n - m + len(faces) != 2:
             raise NonSphericalEmbedding(
-                f"Euler characteristic {n - len(arcs) + len(faces)} != 2"
+                f"Euler characteristic {n - m + len(faces)} != 2"
             )
-    if not faces:
-        faces = ()
-        outer = 0
-    else:
-        outer = outer_face if 0 <= outer_face < len(faces) else 0
+    outer = outer_face if 0 <= outer_face < len(faces) else 0
     return PlaneDigraph(
-        n=n,
-        arcs=arcs,
-        rotation=rotation,
-        mode=mode,
-        faces=faces,
-        connected=connected,
-        outer_face=outer,
-        dart_face=dart_face,
-        dart_pos=dart_pos,
-        rot_next=rot_next,
-    )
-
-
-def _underlying_connected(n: int, arcs: Sequence[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+        n=n, arcs=arcs, rotation=rotation, mode=mode, faces=faces,
+        connected=connected, outer_face=outer, dart_face=dart_face,
+        dart_pos=dart_pos, rot_next=tuple(rot_next))
 
 
 # ---------------------------------------------------------------------------

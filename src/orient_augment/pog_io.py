@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import plane_graph as pg
 from .errors import (DuplicateArcEnd, InfeasibleParameters,
-                     ModeViolation, ParseError)
+                     ModeViolation, NonSphericalEmbedding, ParseError)
 
 
 def write_pog(D: pg.PlaneDigraph) -> str:
@@ -55,16 +55,19 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
     arcs: list[Optional[tuple[int, int]]] = [None] * m
     rotation: list[Optional[tuple[int, ...]]] = [None] * n
     seen_ends: set[int] = set()
+    sign, nd = {"+": 0, "-": 1}, 2 * m
     for ln, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if not parts or raw[0] == "#":
             continue
         if parts[0] == "a":
-            if len(parts) != 4:
-                raise ParseError(f"line {ln}: expected 'a <id> <tail> <head>'")
             try:
-                a, u, v = map(int, parts[1:])
+                _, a, u, v = parts
+                a, u, v = int(a), int(u), int(v)
             except ValueError as exc:
+                if len(parts) != 4:
+                    raise ParseError(
+                        f"line {ln}: expected 'a <id> <tail> <head>'") from None
                 raise ParseError(f"line {ln}: non-integer id: {exc}") from exc
             if not 0 <= a < m or arcs[a] is not None:
                 raise ParseError(f"line {ln}: bad or repeated arc id {a}")
@@ -81,22 +84,15 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
             if not 0 <= v < n or rotation[v] is not None:
                 raise ParseError(f"line {ln}: bad or repeated vertex {v}")
             ring = []
-            for col, tok in enumerate(parts[2:], start=3):
-                if tok[-1] not in "+-":
-                    raise ParseError(f"line {ln}: bad end token {tok!r}")
+            for tok in parts[2:]:  # field 3 + len(ring)
                 try:
-                    a = int(tok[:-1])
-                except ValueError as exc:
+                    d = 2 * int(tok[:-1]) + sign[tok[-1]]
+                except (KeyError, ValueError) as exc:
                     raise ParseError(f"line {ln}: bad end token {tok!r}") from exc
-                if not 0 <= a < m:
-                    raise ParseError(
-                        f"line {ln}, field {col}: arc {a} not in 0..{m - 1}"
-                    )
-                d = 2 * a + (0 if tok[-1] == "+" else 1)
-                if d in seen_ends:
-                    raise ParseError(
-                        f"line {ln}, field {col}: arc end {tok} repeated"
-                    )
+                if not 0 <= d < nd or d in seen_ends:
+                    why = (f"arc end {tok} repeated" if 0 <= d < nd
+                           else f"arc {d >> 1} not in 0..{m - 1}")
+                    raise ParseError(f"line {ln}, field {3 + len(ring)}: {why}")
                 seen_ends.add(d)
                 ring.append(d)
             rotation[v] = tuple(ring)
@@ -108,7 +104,7 @@ def parse_pog(text: str) -> pg.PlaneDigraph:
     rotation = [r if r is not None else () for r in rotation]
     try:
         return pg.build(n, arcs, rotation, mode=mode)
-    except (DuplicateArcEnd, ModeViolation) as exc:
+    except (DuplicateArcEnd, ModeViolation, NonSphericalEmbedding) as exc:
         where = _where(lines, arcs, rotation, mode, exc)
         raise type(exc)(f"{where}: {exc}") from None
 
@@ -119,6 +115,8 @@ def _where(lines: list[str], arcs: list, rotation: list, mode: str,
     at = {(p[0], int(p[1])): ln
           for ln, p in enumerate(map(str.split, lines), start=1)
           if p[:1] in (["a"], ["r"])}
+    if isinstance(exc, NonSphericalEmbedding):  # the rings as a whole
+        return f"line {min(ln for (tag, _), ln in at.items() if tag == 'r')}"
     if isinstance(exc, ModeViolation):  # the first arc breaking the mode
         earlier: set[tuple[int, int]] = set()
         for a, (u, v) in enumerate(arcs):

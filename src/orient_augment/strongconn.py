@@ -258,18 +258,25 @@ def condense(D: pg.PlaneDigraph) -> CondensationResult:
     ids shift down only by the contracted arcs.
     """
     comp = scc(D).component
-    root = list(range(D.n))
+    root = list(range(D.n))  # union-find with path halving, inlined
     contracted = [False] * D.m
     for a, (u, v) in enumerate(D.arcs):
         if comp[u] == comp[v]:
-            ru, rv = _find(root, u), _find(root, v)
-            if ru != rv:
-                root[rv] = ru
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if u != v:
+                root[v] = u
                 contracted[a] = True
+    for v in range(D.n):  # flatten: every vertex to its root
+        while root[root[v]] != root[v]:
+            root[v] = root[root[v]]
     keep = [a for a in range(D.m) if not contracted[a]]
     arc_map = {a: i for i, a in enumerate(keep)}
     reps = [v for v in range(D.n) if root[v] == v]
     vid = {r: i for i, r in enumerate(reps)}
+    rot_next = D._rot_next
     rotation = []
     for r in reps:
         ring = []
@@ -277,17 +284,14 @@ def condense(D: pg.PlaneDigraph) -> CondensationResult:
             start = d = D.rotation[r][0]
             while True:
                 if contracted[d >> 1]:
-                    d = D.rot_next(d ^ 1)
+                    d = rot_next[d ^ 1]
                 else:
                     ring.append(2 * arc_map[d >> 1] + (d & 1))
-                    d = D.rot_next(d)
+                    d = rot_next[d]
                 if d == start:
                     break
         rotation.append(tuple(ring))
-    arcs = [
-        (vid[_find(root, D.arcs[a][0])], vid[_find(root, D.arcs[a][1])])
-        for a in keep
-    ]
+    arcs = [(vid[root[D.arcs[a][0]]], vid[root[D.arcs[a][1]]]) for a in keep]
     condensed = pg.build(
         len(reps), arcs, rotation, mode=pg.MODE_MULTI, outer_face=0
     )

@@ -9,7 +9,8 @@ from orient_augment import plane_graph as pg
 from orient_augment import pog_io
 from orient_augment import solvers as sv
 from orient_augment.errors import (DuplicateArcEnd, InfeasibleParameters,
-                                   ModeViolation, ParseError)
+                                   ModeViolation, NonSphericalEmbedding,
+                                   ParseError)
 
 
 def test_pog_roundtrip_byte_exact(triangle):
@@ -144,6 +145,13 @@ def test_parse_forwards_mode_violation():
                                    "oriented mode"),
     ("pog oriented 3 2\n# c\na 1 1 2\nr 0\nr 1 1+\nr 2 1-\n", ParseError,
      "line 1, field 4: missing arc lines for ids [0]"),
+    # a torus bouquet: the rings as a whole fail, named by the first r line
+    ("pog multi 1 2\na 0 0 0\na 1 0 0\nr 0 0+ 1+ 0- 1-\n",
+     NonSphericalEmbedding, "line 4: Euler characteristic 0 != 2"),
+    # K4 with the ring at vertex 3 reversed, its r line first
+    ("pog oriented 4 6\na 0 0 1\na 1 1 2\na 2 2 0\na 3 0 3\na 4 1 3\n"
+     "a 5 2 3\nr 3 5- 4- 3-\nr 0 0+ 3+ 2-\nr 1 1+ 4+ 0-\nr 2 2+ 5+ 1-\n",
+     NonSphericalEmbedding, "line 8: Euler characteristic 0 != 2"),
 ])
 def test_build_errors_name_the_line(tmp_path, capsys, text, error, message):
     with pytest.raises(error) as err:

@@ -1,14 +1,21 @@
 import math
+import pathlib
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orient_augment import enumerate_plane as ep
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
+from orient_augment import strongconn as sc
 from orient_augment.errors import (
-    CrossingArcs, DuplicateArcEnd, ModeViolation, StaleAngle,
+    CrossingArcs, DuplicateArcEnd, ModeViolation, NonSphericalEmbedding,
+    ParseError, StaleAngle,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def build_k4():
@@ -58,11 +65,16 @@ def test_rotation_errors_name_the_arc_end():
         ([(0, -1), (1,)], "arc end -1 listed at vertex 0, belongs to None"),
         ([(0, 0), (1,)], "arc end 0 appears twice"),
         ([(1,), (0,)], "arc end 1 listed at vertex 0, belongs to 1"),
-        ([(0,), ()], r"arc ends missing from rotations: \[1\]"),
+        ([(0,), ()], "arc ends missing from rotations: [1]"),
+        ([(0,)], "rotation must list every vertex"),
     ]
     for rotation, message in cases:
-        with pytest.raises(DuplicateArcEnd, match=message):
+        with pytest.raises(DuplicateArcEnd) as err:
             pg.build(2, [(0, 1)], rotation)
+        assert str(err.value) == message
+    with pytest.raises(DuplicateArcEnd) as err:
+        pg.build(2, [(0, 1), (0, 2)], [(0, 2), (1,)])
+    assert str(err.value) == "arc (0,2) references missing vertex"
 
 
 def test_foreign_darts_are_stale(simple_square):
@@ -178,3 +190,357 @@ def test_euler_preserved_by_insertion(n, seed, extra):
             continue
         D = pg.insert_arcs(D, [(walk[i], walk[j])])
         assert D.euler_characteristic() == 2
+
+
+def test_non_spherical_rotation_systems_are_rejected():
+    # one vertex, two loops interleaved in its rotation: a torus bouquet
+    with pytest.raises(NonSphericalEmbedding) as err:
+        pg.build(1, [(0, 0), (0, 0)], [(0, 2, 1, 3)], mode="multi")
+    assert str(err.value) == "Euler characteristic 0 != 2"
+    # K4 with the rotation at one vertex reversed
+    rotation = list(build_k4().rotation)
+    rotation[3] = rotation[3][::-1]
+    with pytest.raises(NonSphericalEmbedding) as err:
+        pg.build(4, build_k4().arcs, rotation)
+    assert str(err.value) == "Euler characteristic 0 != 2"
+
+
+def test_disconnected_graph_skips_the_euler_check():
+    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    D = pg.build(6, arcs, [(0, 5), (2, 1), (4, 3), (6, 11), (8, 7), (10, 9)])
+    assert D.connected is False
+    assert D.f == 4 and D.euler_characteristic() == 4
+
+
+# -- construction and parsing with ordered check loops, kept as references --
+
+
+def _validate_mode_reference(arcs, mode):
+    if mode == pg.MODE_MULTI:
+        return
+    seen_ordered = set()
+    seen_unordered = set()
+    for u, v in arcs:
+        if u == v:
+            raise ModeViolation(f"loop at vertex {u} is illegal in mode {mode}")
+        if (u, v) in seen_ordered:
+            raise ModeViolation(f"parallel arcs {u}->{v} in mode {mode}")
+        seen_ordered.add((u, v))
+        key = (u, v) if u <= v else (v, u)
+        if mode == pg.MODE_ORIENTED:
+            if key in seen_unordered:
+                raise ModeViolation(f"digon between {u} and {v} in oriented mode")
+            seen_unordered.add(key)
+
+
+def _trace_faces_reference(arcs, rotation):
+    rot_next = [0] * (2 * len(arcs))
+    for ring in rotation:
+        for d, e in zip(ring, ring[1:] + ring[:1]):
+            rot_next[d] = e
+    dart_face = [-1] * len(rot_next)
+    dart_pos = [0] * len(rot_next)
+    faces = []
+    for start in range(len(rot_next)):
+        if dart_face[start] >= 0:
+            continue
+        walk = []
+        d = start
+        while True:
+            dart_face[d] = len(faces)
+            dart_pos[d] = len(walk)
+            walk.append(d)
+            d = rot_next[d ^ 1]
+            if d == start:
+                break
+        faces.append(tuple(walk))
+    return tuple(faces), tuple(dart_face), tuple(dart_pos), tuple(rot_next)
+
+
+def _underlying_connected_reference(n, arcs):
+    if n <= 1:
+        return True
+    adj = [[] for _ in range(n)]
+    for u, v in arcs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == n
+
+
+def build_reference(n, arcs, rotation, mode=pg.MODE_ORIENTED, outer_face=0):
+    """``build`` as it was before the one-pass checks: each check a loop of
+    its own, in order."""
+    if mode not in pg.MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    arcs = tuple((int(u), int(v)) for u, v in arcs)
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DuplicateArcEnd(f"arc ({u},{v}) references missing vertex")
+    _validate_mode_reference(arcs, mode)
+    expected_vertex = [v for uv in arcs for v in uv]
+    nd = len(expected_vertex)
+    seen = bytearray(nd)
+    rotation = tuple(tuple(ring) for ring in rotation)
+    if len(rotation) != n:
+        raise DuplicateArcEnd("rotation must list every vertex")
+    for v, ring in enumerate(rotation):
+        for d in ring:
+            if not 0 <= d < nd or seen[d] or expected_vertex[d] != v:
+                owner = expected_vertex[d] if 0 <= d < nd else None
+                if owner is not None and seen[d]:
+                    raise DuplicateArcEnd(f"arc end {d} appears twice")
+                raise DuplicateArcEnd(
+                    f"arc end {d} listed at vertex {v}, belongs to {owner}")
+            seen[d] = 1
+    if 0 in seen:
+        missing = [d for d in range(nd) if not seen[d]]
+        raise DuplicateArcEnd(f"arc ends missing from rotations: {missing}")
+    faces, dart_face, dart_pos, rot_next = _trace_faces_reference(
+        arcs, rotation)
+    connected = _underlying_connected_reference(n, arcs)
+    if connected and arcs:
+        if n - len(arcs) + len(faces) != 2:
+            raise NonSphericalEmbedding(
+                f"Euler characteristic {n - len(arcs) + len(faces)} != 2")
+    if not faces:
+        faces = ()
+        outer = 0
+    else:
+        outer = outer_face if 0 <= outer_face < len(faces) else 0
+    return pg.PlaneDigraph(
+        n=n, arcs=arcs, rotation=rotation, mode=mode, faces=faces,
+        connected=connected, outer_face=outer, dart_face=dart_face,
+        dart_pos=dart_pos, rot_next=rot_next)
+
+
+def parse_reference(text):
+    """``parse_pog`` as it was before the one-pass decode, on
+    ``build_reference``; errors that build raises are located by
+    ``pog_io._where``."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "pog":
+        raise ParseError("line 1: expected 'pog <mode> <n> <m>'")
+    mode = head[1]
+    if mode not in pg.MODES:
+        raise ParseError(f"line 1: unknown mode {mode!r}")
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError as exc:
+        raise ParseError(f"line 1: bad counts: {exc}") from exc
+    if n < 0 or m < 0:
+        raise ParseError(f"line 1: negative count in {lines[0]!r}")
+    if n + m >= len(lines):
+        raise ParseError(f"line 1: {n} vertices and {m} arcs need {n + m} "
+                         f"lines, but {len(lines) - 1} follow")
+    arcs: list[Optional[tuple[int, int]]] = [None] * m
+    rotation: list[Optional[tuple[int, ...]]] = [None] * n
+    seen_ends: set[int] = set()
+    for ln, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
+        if not parts or raw[0] == "#":
+            continue
+        if parts[0] == "a":
+            if len(parts) != 4:
+                raise ParseError(f"line {ln}: expected 'a <id> <tail> <head>'")
+            try:
+                a, u, v = map(int, parts[1:])
+            except ValueError as exc:
+                raise ParseError(f"line {ln}: non-integer id: {exc}") from exc
+            if not 0 <= a < m or arcs[a] is not None:
+                raise ParseError(f"line {ln}: bad or repeated arc id {a}")
+            if not (0 <= u < n and 0 <= v < n):
+                col, x = (3, u) if not 0 <= u < n else (4, v)
+                raise ParseError(
+                    f"line {ln}, field {col}: vertex {x} not in 0..{n - 1}")
+            arcs[a] = (u, v)
+        elif parts[0] == "r":
+            try:
+                v = int(parts[1])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"line {ln}: expected 'r <v> <ends>'") from exc
+            if not 0 <= v < n or rotation[v] is not None:
+                raise ParseError(f"line {ln}: bad or repeated vertex {v}")
+            ring = []
+            for col, tok in enumerate(parts[2:], start=3):
+                if tok[-1] not in "+-":
+                    raise ParseError(f"line {ln}: bad end token {tok!r}")
+                try:
+                    a = int(tok[:-1])
+                except ValueError as exc:
+                    raise ParseError(f"line {ln}: bad end token {tok!r}") from exc
+                if not 0 <= a < m:
+                    raise ParseError(
+                        f"line {ln}, field {col}: arc {a} not in 0..{m - 1}")
+                d = 2 * a + (0 if tok[-1] == "+" else 1)
+                if d in seen_ends:
+                    raise ParseError(
+                        f"line {ln}, field {col}: arc end {tok} repeated")
+                seen_ends.add(d)
+                ring.append(d)
+            rotation[v] = tuple(ring)
+        else:
+            raise ParseError(f"line {ln}: unknown record {parts[0]!r}")
+    if None in arcs:
+        raise ParseError(f"line 1, field 4: missing arc lines for ids "
+                         f"{[a for a, uv in enumerate(arcs) if uv is None]}")
+    rotation = [r if r is not None else () for r in rotation]
+    try:
+        return build_reference(n, arcs, rotation, mode=mode)
+    except (DuplicateArcEnd, ModeViolation, NonSphericalEmbedding) as exc:
+        where = pog_io._where(lines, arcs, rotation, mode, exc)
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+FIELDS = ("n", "arcs", "rotation", "faces", "_dart_face", "_dart_pos",
+          "_rot_next", "connected", "outer_face", "mode")
+
+
+def outcome(make, *args, **kwargs):
+    """Every stored field of the graph ``make`` returns, or the type and
+    message of what it raised."""
+    try:
+        D = make(*args, **kwargs)
+    except Exception as exc:  # compared, type and message, by the caller
+        return type(exc), str(exc)
+    return tuple(getattr(D, name) for name in FIELDS)
+
+
+def reference_hosts():
+    """The n <= 5 corpus, 48 random graphs at n = 9..16 (a third
+    directed), both planted_multi fixtures, and the condensations and split
+    parts of the last 50."""
+    graphs = list(ep.oriented_corpus(5))
+    for n in range(9, 17):
+        for seed in range(6):
+            m = (n - 1) + (seed * 7919) % (2 * n - 5)
+            mode = "directed" if seed % 3 == 0 else "oriented"
+            graphs.append(pog_io.gen_random(n, m, seed=seed, mode=mode))
+    graphs += [pog_io.parse_pog(path.read_text())
+               for path in sorted(DATA.glob("planted_multi_*.pog"))]
+    derived = []
+    for D in graphs[-50:]:
+        C = sc.condense(D).condensed
+        derived.append(C)
+        derived += [part.graph for part in sc.split_loops(C)]
+    return graphs + derived
+
+
+def test_build_and_parse_match_reference():
+    hosts = reference_hosts()
+    assert len(hosts) > 1000
+    assert sum(D.mode == "multi" for D in hosts) >= 100
+    for i, D in enumerate(hosts):
+        args = (D.n, D.arcs, D.rotation)
+        for outer in (0, i % 5, D.f + 1):
+            got = outcome(pg.build, *args, mode=D.mode, outer_face=outer)
+            assert got == outcome(build_reference, *args, mode=D.mode,
+                                  outer_face=outer)
+            assert isinstance(got[0], int)
+        text = pog_io.write_pog(D)
+        assert outcome(pog_io.parse_pog, text) == outcome(parse_reference,
+                                                          text)
+
+
+MUTATION_HOSTS = [
+    pog_io.gen_random(n, m, seed=seed, mode=mode)
+    for n, m, seed, mode in [(3, 3, 1, "oriented"), (5, 7, 2, "directed"),
+                             (6, 9, 3, "oriented"), (7, 12, 4, "multi"),
+                             (8, 10, 5, "directed"), (4, 3, 6, "oriented")]
+] + [build_k4()]
+
+
+def _mutate(data, arcs, rotation, n):
+    """One random edit of an arc list and its rings: an end dropped,
+    duplicated, swapped with another, given the other sign, moved to another
+    ring; a ring reversed; an arc's tail or head moved to another vertex."""
+    ends = [(v, i) for v, ring in enumerate(rotation) for i in range(len(ring))]
+    op = data.draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "flip", "move", "reverse", "retarget"]))
+    if op == "retarget" or not ends:
+        a = data.draw(st.integers(0, len(arcs) - 1))
+        arcs[a] = list(arcs[a])
+        arcs[a][data.draw(st.integers(0, 1))] = data.draw(st.integers(0, n - 1))
+        arcs[a] = tuple(arcs[a])
+        return
+    v, i = data.draw(st.sampled_from(ends))
+    w = data.draw(st.integers(0, len(rotation) - 1))
+    if op == "drop":
+        del rotation[v][i]
+    elif op == "duplicate":
+        rotation[w].insert(data.draw(st.integers(0, len(rotation[w]))),
+                           rotation[v][i])
+    elif op == "swap":
+        w, j = data.draw(st.sampled_from(ends))
+        rotation[v][i], rotation[w][j] = rotation[w][j], rotation[v][i]
+    elif op == "flip":
+        rotation[v][i] ^= 1
+    elif op == "move":
+        d = rotation[v].pop(i)
+        rotation[w].insert(data.draw(st.integers(0, len(rotation[w]))), d)
+    else:
+        rotation[v].reverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_pog_texts_match_reference(data):
+    D = data.draw(st.sampled_from(MUTATION_HOSTS))
+    arcs = list(D.arcs)
+    rotation = [list(ring) for ring in D.rotation]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, arcs, rotation, D.n)
+    rings = [[f"{d >> 1}{'-+'[d & 1 == 0]}" for d in ring] for ring in rotation]
+    if data.draw(st.booleans()):  # a token the decoder must reject
+        v = data.draw(st.integers(0, D.n - 1))
+        rings[v].insert(data.draw(st.integers(0, len(rings[v]))),
+                        data.draw(st.sampled_from(
+                            ["x+", "1", "+", "-1-", f"{D.m}+", "0+0+",
+                             "0*", "\u0663-"])))
+    lines = [f"pog {D.mode} {D.n} {D.m}"]
+    lines += [f"a {a} {u} {v}" for a, (u, v) in enumerate(arcs)]
+    lines += [" ".join(["r", str(v)] + ring) for v, ring in enumerate(rings)]
+    order = data.draw(st.permutations(range(1, len(lines))))
+    text = "\n".join([lines[0]] + [lines[i] for i in order]) + "\n"
+    assert outcome(pog_io.parse_pog, text) == outcome(parse_reference, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_rotation_systems_match_reference(data):
+    """As above on ``build`` itself, with the edits a parser never passes
+    on: ends and vertices out of range, a ring too few or too many."""
+    D = data.draw(st.sampled_from(MUTATION_HOSTS))
+    arcs = list(D.arcs)
+    rotation = [list(ring) for ring in D.rotation]
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(
+            ["edit", "edit", "edit", "end", "end", "vertex", "rings"]))
+        if op == "end":
+            v = data.draw(st.integers(0, len(rotation) - 1))
+            rotation[v].append(data.draw(st.sampled_from(
+                [-1, -2, 2 * D.m, 2 * D.m + 3])))
+        elif op == "vertex":
+            a = data.draw(st.integers(0, D.m - 1))
+            arcs[a] = (arcs[a][0], data.draw(st.sampled_from([-1, D.n])))
+        elif op == "rings":
+            rotation = rotation[:-1] if data.draw(st.booleans()) else (
+                rotation + [[]])
+        else:
+            _mutate(data, arcs, rotation, D.n)
+    for mode in pg.MODES:
+        assert outcome(pg.build, D.n, arcs, rotation, mode=mode) == outcome(
+            build_reference, D.n, arcs, rotation, mode=mode)

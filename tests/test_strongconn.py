@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from orient_augment import enumerate_plane as ep
@@ -220,6 +222,64 @@ def test_condense_keeps_faces():
         assert len(res.arc_map) + len(res.contraction_log) == D.m
         contracted += bool(res.contraction_log)
     assert contracted > 100
+
+
+def condense_reference(D):
+    """``condense`` as first written: a union-find call per arc end, the
+    rotation read through ``rot_next`` calls."""
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    comp = sc.scc(D).component
+    root = list(range(D.n))
+    contracted = [False] * D.m
+    for a, (u, v) in enumerate(D.arcs):
+        if comp[u] == comp[v]:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                root[rv] = ru
+                contracted[a] = True
+    keep = [a for a in range(D.m) if not contracted[a]]
+    arc_map = {a: i for i, a in enumerate(keep)}
+    reps = [v for v in range(D.n) if root[v] == v]
+    vid = {r: i for i, r in enumerate(reps)}
+    rotation = []
+    for r in reps:
+        ring = []
+        if D.rotation[r]:
+            start = d = D.rotation[r][0]
+            while True:
+                if contracted[d >> 1]:
+                    d = D._rot_next[d ^ 1]
+                else:
+                    ring.append(2 * arc_map[d >> 1] + (d & 1))
+                    d = D._rot_next[d]
+                if d == start:
+                    break
+        rotation.append(tuple(ring))
+    arcs = [(vid[find(D.arcs[a][0])], vid[find(D.arcs[a][1])]) for a in keep]
+    condensed = pg.build(len(reps), arcs, rotation, mode=pg.MODE_MULTI)
+    return arc_map, tuple(a for a in range(D.m) if contracted[a]), condensed
+
+
+def test_condense_matches_reference():
+    data = pathlib.Path(__file__).parent / "data"
+    graphs = _condense_cases() + [
+        pog_io.parse_pog(path.read_text())
+        for path in sorted(data.glob("planted_multi_*.pog"))]
+    merged = 0
+    for D in graphs:
+        res = sc.condense(D)
+        arc_map, log, C = condense_reference(D)
+        assert res.original is D
+        assert (res.arc_map, res.contraction_log) == (arc_map, log)
+        assert (res.condensed.n, res.condensed.arcs, res.condensed.rotation,
+                res.condensed.faces) == (C.n, C.arcs, C.rotation, C.faces)
+        merged += C.n < D.n - 1
+    assert merged > 100
 
 
 def test_split_optimum_is_sum_of_part_optima():
