@@ -47,4 +47,4 @@ print("\ndigon-allowed optimum:",
 # trial; a yes is always certified, only a no can err
 mc = sv.solve_oriented(D, 3, method="montecarlo", trials=50, seed=7)
 print("montecarlo (50 trials):", "yes" if mc.verdict else "no",
-      "| trials used:", mc.stats.trials, "| dijoin calls:", mc.stats.dijoin_calls)
+      "| trials used:", mc.stats.trials, "| search nodes:", mc.stats.search_nodes)

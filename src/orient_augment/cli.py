@@ -126,7 +126,7 @@ def _dispatch(args) -> int:
         D = _load(args.input)
         report = sv.solve_oriented(
             D, args.k,
-            method="exhaustive" if args.mode == "exhaustive" else "montecarlo",
+            method=args.mode,
             trials=args.trials,
             seed=_seed(args),
         )

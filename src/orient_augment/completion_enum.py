@@ -1,15 +1,15 @@
 """Enumeration of supported completions.
 
 Three kinds of list: supported completions of one face (the members the
-exact covering search draws arcs from), candidate lists for simple faces
-(small constant lists), and the digon-allowed variant where completions
-attach only to local terminal angles of an acyclic instance; plus the
-joint branches over alternating faces that the Monte-Carlo mode walks.
-Every per-face list comes from one kernel, ``_noncrossing``: a depth-first
-walk over bitmasks of candidate arcs that keeps the Eswaran-Tarjan floor
-as the set grows and hands back each set as a row, one ``((tail dart,
-head dart), (u, v))`` per arc.  The exact covering search reads the rows
-(``*_rows``); the three public lists wrap them into ``Completion``s.
+covering search draws arcs from), candidate lists for simple faces (small
+constant lists, from which the Monte-Carlo mode samples one member), and
+the digon-allowed variant where completions attach only to local terminal
+angles of an acyclic instance.  Every list comes from one kernel,
+``_noncrossing``: a depth-first walk over bitmasks of candidate arcs that
+keeps the Eswaran-Tarjan floor as the set grows and hands back each set
+as a row, one ``((tail dart, head dart), (u, v))`` per arc.  The covering
+search reads the rows (``*_rows``); the three public lists wrap them into
+``Completion``s for the tests.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     inclusion-maximal supported completions with at most three arcs.
 
     A minimum solution restricted to the face is a supported completion of
-    at most three arcs, hence a subset of some member; the candidate-arc
-    reduction may use any subset of the member it is handed, so offering
+    at most three arcs, hence a subset of some member; the covering search
+    may use any subset of the member it is handed, so offering
     maximal members loses nothing.  Every member is dominated by no other
     (adding arcs only coarsens the strong-component partition of the
     face-induced subgraph), and each dominates-or-equals every completion
@@ -299,63 +299,6 @@ def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     out = [xs for xs in rows if xs not in inside]
     D._analysis_cache[key] = out
     return out
-
-
-# ---------------------------------------------------------------------------
-# joint branching over alternating faces
-# ---------------------------------------------------------------------------
-
-
-def alternating_branches(
-    D: pg.PlaneDigraph, k: int, minimal_only: bool = False
-) -> Iterator[tuple[pg.Completion, ...]]:
-    """Every way to pick one supported completion per alternating face, at
-    most ``k`` arcs in total, pairwise compatible (no digon or parallel
-    across faces).  With ``minimal_only`` the branches are pruned to those
-    a minimum solution of at most ``k`` arcs could restrict to, which
-    loses no such solution: per face by the rules of
-    ``supported_completions(minimal_only=True, bounded=True)``, and
-    jointly by one arc per strong-component pair and the Eswaran-Tarjan
-    floor of the joint arc set."""
-    faces = fa.alternating_faces(D)
-    per_face = [
-        list(supported_completions(
-            D, f, k, minimal_only=minimal_only, bounded=minimal_only
-        ))
-        for f in faces
-    ]
-    part = scc(D)
-    # no vertex pair is joined twice across faces; with minimal_only no
-    # strong-component pair (which holds every vertex pair in it)
-    label: Sequence[int] = part.component if minimal_only else range(D.n)
-    chosen: list[pg.Completion] = []
-    ends: list[tuple[int, int]] = []
-
-    def legal(cand: pg.Completion) -> bool:
-        taken = {frozenset((label[u], label[v])) for u, v in ends}
-        return all(frozenset((label[u], label[v])) not in taken
-                   for u, v in (a.ends for a in cand.arcs))
-
-    def rec(i: int, budget: int) -> Iterator[tuple[pg.Completion, ...]]:
-        # with minimal_only, a choice whose Eswaran-Tarjan floor exceeds k
-        # is dropped, and with it every extension of it
-        if minimal_only and part.solution_floor(ends) > k:
-            return
-        if i == len(per_face):
-            yield tuple(chosen)
-            return
-        for comp in per_face[i]:
-            if len(comp) > budget:
-                continue
-            if comp.arcs and not legal(comp):
-                continue
-            chosen.append(comp)
-            ends.extend(a.ends for a in comp.arcs)
-            yield from rec(i + 1, budget - len(comp))
-            chosen.pop()
-            del ends[len(ends) - len(comp.arcs):]
-
-    yield from rec(0, k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ crossing its dicut can provide one, so branching over those arcs is
 complete.  Budgets stay tiny, which keeps the worst case ``O(m^k)``.
 
 ``build_auxiliary`` encodes "find a minimum solution using only these
-candidate completion arcs" as a dijoin question: original arcs are priced
-out of reach by subdivision, and each candidate arc gets a cheap gadget
-arc whose reversal stands for using the candidate.  Of the solvers only
-the Monte-Carlo mode uses it, once per sampled candidate assignment; the
-exact mode runs the same covering search on the candidate arcs directly
-(``solvers._cover``).
+candidate completion arcs" as a dijoin question: original arcs become
+paths too long to reverse within the budget, and each candidate arc gets
+a cheap gadget arc whose reversal stands for using the candidate.  This
+is the paper's reduction, checked against brute force by acceptance
+criterion 8.  No solver builds it: both modes run the same covering
+search on the candidate arcs directly (``solvers._cover``).
 """
 
 from __future__ import annotations
@@ -92,43 +92,26 @@ def build_auxiliary(
     D: pg.PlaneDigraph,
     allowed: dict[int, pg.Completion],
     k: int,
-    subdivision: bool = True,
 ) -> DijoinInstance:
     """Dijoin instance equivalent to: does ``D`` have a solution of size at
     most ``k`` all of whose arcs come from the allowed candidates?
 
-    Original arcs are (k+1)-subdivided so their reversal exceeds the
+    Original arcs become paths of k+1 arcs, so their reversal exceeds the
     budget.  Every allowed arc (u, v) of a face gets a gadget vertex ``x``
     with the single cheap arc (x, u), a budget-proof path from the face's
     source vertex ``s`` to ``x``, and one from ``x`` to ``v``.
-
-    With ``subdivision=False`` the paths collapse to single arcs; combined
-    with the marker-restricted solver this is equivalent (contracting
-    degree-one path interiors never changes which marker subsets are
-    dijoins) and much smaller, so the branching solvers use it internally.
     """
-    return build_auxiliary_with_extra(D, (), allowed, k, subdivision)
-
-
-def build_auxiliary_with_extra(
-    D: pg.PlaneDigraph,
-    extra_arcs: Sequence[tuple[int, int]],
-    allowed: dict[int, pg.Completion],
-    k: int,
-    subdivision: bool = True,
-) -> DijoinInstance:
-    """Same construction over ``D`` plus already-chosen branch arcs, given
-    as plain vertex pairs; face structure is read from ``D``, whose simple
-    faces the branch does not touch."""
-    steps = k if subdivision else 0
     g = Digraph(n=D.n)
-    for (u, v) in list(D.arcs) + list(extra_arcs):
-        prev = u
-        for _ in range(steps):
+
+    def path(u: int, v: int) -> None:  # k + 1 arcs from u to v
+        for _ in range(k):
             w = g.add_vertex()
-            g.add_arc(prev, w)
-            prev = w
-        g.add_arc(prev, v)
+            g.add_arc(u, w)
+            u = w
+        g.add_arc(u, v)
+
+    for u, v in D.arcs:
+        path(u, v)
 
     reversible: list[int] = []
     back_map: dict[int, pg.CompletionArc] = {}
@@ -137,7 +120,7 @@ def build_auxiliary_with_extra(
             continue
         dec = fa.decompose_face(D, face)
         if dec.local_terminal_count == 0:
-            continue  # face became strong; its candidates cannot help
+            continue  # a strong face: its candidates cannot help
         srcs = dec.sources
         snks = dec.sinks
         if not srcs or not snks:
@@ -153,18 +136,8 @@ def build_auxiliary_with_extra(
             gid = g.add_arc(x, u)
             reversible.append(gid)
             back_map[gid] = arc
-            prev = s
-            for _ in range(steps):
-                w = g.add_vertex()
-                g.add_arc(prev, w)
-                prev = w
-            g.add_arc(prev, x)
-            prev = x
-            for _ in range(steps):
-                w = g.add_vertex()
-                g.add_arc(prev, w)
-                prev = w
-            g.add_arc(prev, v)
+            path(s, x)
+            path(x, v)
     return DijoinInstance(
         graph=g, budget=k, reversible=reversible, back_map=back_map
     )

@@ -67,7 +67,7 @@ class NotACandidate(OrientAugmentError):
 
 
 class NonGadgetArcInY(OrientAugmentError):
-    """A dijoin witness used a subdivision arc; indicates a bug."""
+    """A dijoin witness used a non-gadget arc; indicates a bug."""
 
 
 # -- solvers -----------------------------------------------------------------

@@ -12,15 +12,15 @@ allowed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import completion_enum as ce
-from . import dijoin as dj
 from . import face_analysis as fa
 from . import plane_graph as pg
 from . import strongconn as sc
@@ -31,13 +31,12 @@ DEFAULT_ORACLE_LIMITS = (10, 4)  # max vertices, max budget
 
 @dataclass
 class SolveStats:
-    branches: int = 0       # branches the Monte-Carlo mode tried
-    search_nodes: int = 0   # nodes of the exact covering search
-    dijoin_calls: int = 0   # auxiliary dijoins of the Monte-Carlo mode
-    trials: int = 0
+    branches: int = 0       # 0 in every mode, until a solve trace replaces it
+    search_nodes: int = 0   # nodes of the covering search
+    trials: int = 0         # Monte-Carlo assignments searched
     seed: Optional[int] = None
-    # set on a Monte-Carlo no: 1.0 when no branch was sampled, else the
-    # per-branch confidence of the sampling
+    # set on a Monte-Carlo no: 1.0 when every assignment was walked, else
+    # the confidence of the sampling
     no_confidence: Optional[float] = None
 
 
@@ -70,7 +69,6 @@ class SolveReport:
             "statistics": {
                 "branches": self.stats.branches,
                 "search_nodes": self.stats.search_nodes,
-                "dijoin_calls": self.stats.dijoin_calls,
                 "trials": self.stats.trials,
                 "no_confidence": self.stats.no_confidence,
             },
@@ -303,7 +301,7 @@ def brute_solve(
 
 
 # ---------------------------------------------------------------------------
-# the branch loop shared by both branching solvers
+# the covering search shared by both branching solvers
 # ---------------------------------------------------------------------------
 
 # Largest simple-face candidate list observed over the exhaustive corpus;
@@ -389,7 +387,7 @@ def _cover(
     stats: SolveStats,
 ) -> Optional[list[tuple[int, int]]]:
     """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
-    dart pairs, or None: the exact mode of both solvers.
+    dart pairs, or None: the search of both solvers in every mode.
 
     For ``b`` over ``_levels``, one covering search with cap ``b``
     (``strongconn.cover_search``) on the component DAG, over the distinct
@@ -404,7 +402,9 @@ def _cover(
     acceptance criterion 6), so in each face it lies inside one member:
     an alternating face lists every supported completion a minimum
     solution of at most ``b`` arcs may restrict to, a simple face the
-    maximal ones.  So the first ``b`` that succeeds is the optimum."""
+    maximal ones.  So the first ``b`` that succeeds is the optimum; the
+    Monte-Carlo mode lists one member per simple face, and gets the
+    minimum among the solutions that lie inside them."""
     part = sc.scc(D)
     comp = part.component
     oriented = arc_mode == pg.MODE_ORIENTED
@@ -436,84 +436,6 @@ def _cover(
     return None
 
 
-class _Branch(NamedTuple):
-    """The host graph plus one branch's arcs, at adjacency level."""
-
-    ends: list[tuple[int, int]]      # vertex pairs of the branch arcs
-    blocked: set[tuple[int, int]]    # pairs a simple-face arc may not join
-    sources: list[int]               # component-id bitmasks of sources
-    sinks: list[int]                 # ... and of sinks
-    floor: int                       # Eswaran-Tarjan: max(#source, #sink)
-
-
-def _covers_terminals(comp, branch: _Branch, allowed: dict) -> bool:
-    """Necessary condition for the allowed arcs to complete the branch:
-    every source component (``comp`` maps vertices to component ids) must
-    receive a head, every sink must emit a tail."""
-    arcs = [(comp[u], comp[v]) for c in allowed.values()
-            for u, v in (a.ends for a in c.arcs)]
-    enters = lambda m: any((m >> v) & 1 and not (m >> u) & 1 for u, v in arcs)
-    leaves = lambda m: any((m >> u) & 1 and not (m >> v) & 1 for u, v in arcs)
-    return all(map(enters, branch.sources)) and all(map(leaves, branch.sinks))
-
-
-def _complete_assignment(
-    D: pg.PlaneDigraph,
-    branch: _Branch,
-    faces: Sequence[int],
-    assignment: Sequence[pg.Completion],
-    cap: int,
-    stats: SolveStats,
-) -> Optional[pg.Completion]:
-    """Minimum completion of at most ``cap`` arcs making the branch strong,
-    drawn from one candidate completion per face, or None.  Candidate arcs
-    the branch made illegal are dropped; the rest stay valid because branch
-    arcs live in other faces."""
-    allowed = {}
-    for f, comp in zip(faces, assignment):
-        kept = tuple(a for a in comp.arcs if a.ends not in branch.blocked)
-        if kept:
-            allowed[f] = pg.Completion(kept)
-    if not _covers_terminals(sc.scc(D).component, branch, allowed):
-        return None
-    inst = dj.build_auxiliary_with_extra(
-        D, branch.ends, allowed, cap, subdivision=False
-    )
-    stats.dijoin_calls += 1
-    y = dj.solve_auxiliary(inst)
-    return dj.extract_solution(inst, y) if y else None
-
-
-def _simple_montecarlo(
-    D: pg.PlaneDigraph,
-    branch: _Branch,
-    simple: list[tuple[int, list[pg.Completion]]],
-    budget: int,
-    stats: SolveStats,
-    trials: int,
-    rng: random.Random,
-) -> tuple[Optional[list[tuple[int, int]]], bool]:
-    """Dart pairs of the best completion over ``trials`` random candidate
-    assignments, one per face, and whether it walked every assignment
-    instead, as it does when there are no more of them than ``trials``."""
-    faces, lists = zip(*simple)
-    walk = math.prod(len(cs) for cs in lists) <= trials
-    if walk:
-        assignments = itertools.product(*lists)
-    else:
-        assignments = ([rng.choice(cs) for cs in lists] for _ in range(trials))
-    best: Optional[pg.Completion] = None
-    for assignment in assignments:
-        cap = budget if best is None else len(best.arcs) - 1
-        if cap < branch.floor:
-            break
-        stats.trials += 1
-        found = _complete_assignment(D, branch, faces, assignment, cap, stats)
-        if found is not None:
-            best = found
-    return best and [(a.tail.dart, a.head.dart) for a in best.arcs], walk
-
-
 def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
     """1 - (1 - p)^trials, kept from rounding away when p is tiny: the
     chance that ``trials`` assignments of one uniform random member per
@@ -524,7 +446,14 @@ def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
     return -math.expm1(trials * math.log1p(-p))
 
 
-def _branch_loop(
+def _alternating_rows(D: pg.PlaneDigraph, b: int) -> list[list[tuple]]:
+    """Per alternating face, the members a minimum solution of at most
+    ``b`` arcs may restrict to there."""
+    return [ce.supported_rows(D, f, b, minimal_only=True, bounded=True)
+            for f in fa.alternating_faces(D)]
+
+
+def _montecarlo(
     D: pg.PlaneDigraph,
     k: int,
     stats: SolveStats,
@@ -535,43 +464,34 @@ def _branch_loop(
     budget ``k``, as dart pairs, or None; a no sets
     ``stats.no_confidence``.
 
-    Iterative deepening on the total size: for ``b`` over ``_levels``, the
-    branches of at most ``b`` arcs (one supported completion per
-    alternating face, ``completion_enum.alternating_branches``) are tried
-    smallest first, and the first one that completes within ``b`` is the
-    answer.  A branch not strong on the component DAG is completed in the
-    simple faces by ``_simple_montecarlo``: the candidate-arc dijoin
-    reduction on ``trials`` random candidate assignments."""
+    The exact search (``_cover``) with each simple face's candidate list
+    cut down to one member per trial: on every assignment when there are
+    no more of them than ``trials``, else on ``trials`` random ones.  Each
+    later search is capped one arc below the best found so far, and the
+    loop stops once that cap falls below the floor of ``_levels``."""
     levels = _levels(D, k, pg.MODE_ORIENTED)
-    simple = [(f, cs) for f in fa.simple_faces(D) if levels
-              and (cs := ce.simple_face_candidates(D, f))]
-    sampled = False
-    for b in levels:
-        branches = ce.alternating_branches(D, b, minimal_only=True)
-        for parts in sorted(branches, key=lambda ps: sum(map(len, ps))):
-            stats.branches += 1
-            size = sum(map(len, parts))
-            arcs = [a for c in parts for a in c.arcs]
-            pairs = [(a.tail.dart, a.head.dart) for a in arcs]
-            ends = [a.ends for a in arcs]
-            sources, sinks = sc.scc(D).terminal_sides(ends)
-            if not sources:
-                return pairs
-            floor = max(len(sources), len(sinks))
-            if b - size < floor or not simple:
-                continue
-            blocked = set(D.arcs).union(ends)
-            blocked |= {(v, u) for u, v in blocked}
-            found, walked = _simple_montecarlo(
-                D, _Branch(ends, blocked, sources, sinks, floor), simple,
-                b - size, stats, trials, rng)
-            sampled = sampled or not walked
-            if found is not None:
-                return pairs + found
-    # a no is exact unless some branch was sampled
-    stats.no_confidence = sampling_confidence(
-        trials, [len(cs) for _, cs in simple], k) if sampled else 1.0
-    return None
+    lists = [rows for f in fa.simple_faces(D)
+             if levels and (rows := ce.simple_face_rows(D, f))]
+    alternating = functools.cache(functools.partial(_alternating_rows, D))
+    walk = math.prod(map(len, lists)) <= trials
+    if walk:
+        assignments = itertools.product(*lists)
+    else:
+        assignments = ([rng.choice(rows) for rows in lists]
+                       for _ in range(trials))
+    best = None
+    for assignment in assignments:
+        cap = k if best is None else len(best) - 1
+        if cap < levels.start:
+            break
+        stats.trials += bool(lists)  # no simple face: nothing is sampled
+        members = lambda b: alternating(b) + [[row] for row in assignment]
+        best = _cover(D, cap, pg.MODE_ORIENTED, members, stats) or best
+    if best is None:
+        # a no is exact when every assignment was walked
+        stats.no_confidence = 1.0 if walk else sampling_confidence(
+            trials, list(map(len, lists)), k)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +514,11 @@ def solve_oriented(
     search over the arcs of the supported completions of every open face
     (at most ``b`` arcs in an alternating face, the candidate lists in a
     simple face), driven by the terminal sides of the component DAG
-    (``_cover``).  With ``method="montecarlo"`` it keeps the paper's
-    branching over the alternating faces' completions and resolves each
-    branch in the simple faces through the candidate-arc dijoin reduction
-    on one random candidate per face and trial (``_branch_loop``; a yes is
-    always certified, a no may err).  A negative ``k``, another ``method``
-    or fewer than one trial raise ``InfeasibleParameters``.
+    (``_cover``).  With ``method="montecarlo"`` it runs the same search
+    with each simple face's list cut down to one random member per trial
+    (``_montecarlo``; a yes is always certified, a no may err).  A
+    negative ``k``, another ``method`` or fewer than one trial raise
+    ``InfeasibleParameters``.
     """
     _check_budget(k)
     if method not in ("exhaustive", "montecarlo"):
@@ -620,14 +539,13 @@ def solve_oriented(
         known, witness = memo.lookup(k)
         if known:
             return _report(pg.MODE_ORIENTED, k, stats, witness)
-        best = _cover(D, k, pg.MODE_ORIENTED, lambda b: [
-            ce.supported_rows(D, f, b, minimal_only=True, bounded=True)
-            for f in fa.alternating_faces(D)
-        ] + [ce.simple_face_rows(D, f) for f in fa.simple_faces(D)], stats)
+        members = lambda b: _alternating_rows(D, b) + [
+            ce.simple_face_rows(D, f) for f in fa.simple_faces(D)]
+        best = _cover(D, k, pg.MODE_ORIENTED, members, stats)
     else:
-        best = _branch_loop(D, k, stats,
-                            default_trials(k) if trials is None else trials,
-                            random.Random(seed))
+        best = _montecarlo(D, k, stats,
+                           default_trials(k) if trials is None else trials,
+                           random.Random(seed))
     witness = None
     if best is not None:
         witness = D.completion_from_darts(best)

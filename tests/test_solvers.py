@@ -251,8 +251,8 @@ def test_montecarlo_default_trials_stops_at_terminal_floor():
     assert sv.solve_oriented(fresh(D), 3).optimum == 2
 
 
-def test_montecarlo_agrees_with_exhaustive_under_default_trials():
-    for D in ep.oriented_corpus(5)[::27]:
+def test_montecarlo_agrees_with_exhaustive_under_default_trials(random78):
+    for D in ep.oriented_corpus(5)[::27] + [random78(i) for i in range(150)]:
         mc = sv.solve_oriented(fresh(D), 3, method="montecarlo", seed=0)
         ex = sv.solve_oriented(fresh(D), 3)
         assert (mc.verdict, mc.optimum) == (ex.verdict, ex.optimum)
@@ -284,11 +284,23 @@ def test_montecarlo_no_confidence_when_sampled():
 
 
 def test_montecarlo_no_confidence_keeps_tiny_p():
-    # at k = 6 the solution may touch both two-member lists: p = 1/4
+    # at k = 6 the solution may touch both two-member lists: p = 1/4.  One
+    # trial searches one assignment at every budget, so whether it answers
+    # depends on the seed: the optimum 2 lies in some assignments only
     D = ep.oriented_corpus(5)[42]
-    rep = sv.solve_oriented(fresh(D), 6, method="montecarlo", trials=1, seed=0)
-    assert not rep.verdict and rep.stats.trials >= 1
-    assert rep.stats.no_confidence == pytest.approx(1 / 4)
+    nos = 0
+    for seed in range(20):
+        rep = sv.solve_oriented(fresh(D), 6, method="montecarlo", trials=1,
+                                seed=seed)
+        if rep.verdict:
+            assert rep.optimum == 2
+            ok, diag = sv.verify_solution(D, rep.witness)
+            assert ok, diag
+        else:
+            nos += 1
+            assert rep.stats.trials == 1
+            assert rep.stats.no_confidence == pytest.approx(1 / 4)
+    assert nos > 0
 
 
 def test_sampling_confidence_takes_the_longest_lists():
@@ -416,16 +428,32 @@ def test_many_open_simple_faces(name, removed, solve):
     ok, diag = sv.verify_solution(D, rep.witness, mode)
     assert ok, diag
     assert 0 < rep.stats.search_nodes <= 100
-    assert rep.stats.dijoin_calls == 0
     below = solve(pog_io.parse_pog(text), rep.optimum - 1)
     assert not below.verdict
     assert below.stats.search_nodes <= 100
 
 
+@pytest.mark.parametrize("name, removed", [
+    ("planted_multi_7.pog", 3), ("planted_multi_12.pog", 2),
+])
+def test_montecarlo_on_many_open_simple_faces(name, removed):
+    D = pog_io.parse_pog((DATA / name).read_text())
+    for seed in range(5):
+        rep = sv.solve_oriented(fresh(D), 3, method="montecarlo", trials=200,
+                                seed=seed)
+        assert rep.verdict and rep.optimum <= removed
+        ok, diag = sv.verify_solution(D, rep.witness)
+        assert ok, diag
+        assert rep.stats.trials <= 200
+        # a solution at the Eswaran-Tarjan floor ends the sampling
+        if rep.optimum == sc.scc(D).solution_floor():
+            assert rep.stats.trials < 200
+
+
 def test_report_json_counts_search_nodes():
     D = pog_io.parse_pog((DATA / "planted_multi_12.pog").read_text())
     stats = sv.solve_oriented(D, 3).to_json_dict()["statistics"]
-    assert stats["search_nodes"] > 0 and stats["dijoin_calls"] == 0
+    assert stats["search_nodes"] > 0
 
 
 # (instance, k, oriented, directed), each solver's answer as (verdict,
