@@ -32,7 +32,7 @@ for iv in dec.intervals():
 P = max(dec.dipaths, key=len)
 for q in (1, 2):
     fam = sp.left_supports(D, P, q)
-    print(f"left supports level {q}: {[sorted(b) for b in fam.members]} "
+    print(f"left supports level {q}: {[sorted(b) for b in fam]} "
           f"(bound {3 * 2 ** (q - 1)})")
 
 # Take a deliberately awkward solution: two arcs relaying through vertex

@@ -1,17 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 for a yes verdict, 1 for no (or failed verification), 2 for
-usage or input errors.  The environment variable ``ORIENT_AUGMENT_SEED``
-overrides the default random seed.
+usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import hardness as hg
 from . import plane_graph as pg
@@ -22,15 +21,17 @@ from .errors import OrientAugmentError
 from .face_analysis import classify_all
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ORIENT_AUGMENT_SEED")
-    return int(env) if env else 0
-
-
 def _load(path: str) -> pg.PlaneDigraph:
     return pog_io.parse_pog(Path(path).read_text())
+
+
+def _write(text: str, output: Optional[str]) -> int:
+    """Write ``text`` to the file ``output``, or to stdout when None."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        print(text, end="")
+    return 0
 
 
 def _emit_report(report: sv.SolveReport, as_json: bool) -> int:
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
     ps.add_argument("--mode", choices=["exhaustive", "montecarlo"],
                     default="exhaustive")
     ps.add_argument("--trials", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=int, default=0)
 
     pd = sub.add_parser("solve-directed", help="digons allowed in the solution", parents=[common])
     pd.add_argument("input")
@@ -77,7 +78,8 @@ def main(argv=None) -> int:
     pb.add_argument("-k", type=int, required=True)
     pb.add_argument("--mode", choices=["oriented", "directed"],
                     default="oriented")
-    pb.add_argument("--oracle-limit", type=int, nargs=2, default=(10, 4),
+    pb.add_argument("--oracle-limit", type=int, nargs=2,
+                    default=sv.DEFAULT_ORACLE_LIMITS,
                     metavar=("N", "K"))
 
     pv = sub.add_parser("verify", help="check a witness JSON against a graph")
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
     pr.add_argument("-m", type=int, required=True)
     pr.add_argument("--mode", choices=["oriented", "directed"],
                     default="oriented")
-    pr.add_argument("--seed", type=int, default=None)
+    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("-o", "--output", default=None)
 
     pe = sub.add_parser("export-dot", help="Graphviz view of a graph")
@@ -128,7 +130,7 @@ def _dispatch(args) -> int:
             D, args.k,
             method=args.mode,
             trials=args.trials,
-            seed=_seed(args),
+            seed=args.seed,
         )
         return _emit_report(report, args.json)
 
@@ -154,13 +156,7 @@ def _dispatch(args) -> int:
 
     if args.command == "condense":
         D = _load(args.input)
-        result = sc.condense(D)
-        text = pog_io.write_pog(result.condensed)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            print(text, end="")
-        return 0
+        return _write(pog_io.write_pog(sc.condense(D).condensed), args.output)
 
     if args.command == "stats":
         D = _load(args.input)
@@ -170,22 +166,12 @@ def _dispatch(args) -> int:
 
     if args.command == "gen-hard":
         phi = hg.parse_dimacs(Path(args.input).read_text())
-        inst = hg.reduce_formula(phi)
-        text = pog_io.write_pog(inst.graph)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            print(text, end="")
-        return 0
+        return _write(pog_io.write_pog(hg.reduce_formula(phi).graph),
+                      args.output)
 
     if args.command == "gen-random":
-        D = pog_io.gen_random(args.n, args.m, _seed(args), mode=args.mode)
-        text = pog_io.write_pog(D)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            print(text, end="")
-        return 0
+        D = pog_io.gen_random(args.n, args.m, args.seed, mode=args.mode)
+        return _write(pog_io.write_pog(D), args.output)
 
     if args.command == "export-dot":
         D = _load(args.input)

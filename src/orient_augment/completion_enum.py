@@ -7,16 +7,15 @@ the digon-allowed variant where completions attach only to local terminal
 angles of an acyclic instance.  Every list comes from one kernel,
 ``_noncrossing``: a depth-first walk over bitmasks of candidate arcs that
 keeps the Eswaran-Tarjan floor as the set grows and hands back each set
-as a row, one ``((tail dart, head dart), (u, v))`` per arc.  The covering
-search reads the rows (``*_rows``); the three public lists wrap them into
-``Completion``s for the tests.
+as a row, one ``((tail dart, head dart), (u, v))`` per arc, which the
+covering search reads.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from . import face_analysis as fa
 from . import plane_graph as pg
@@ -96,28 +95,14 @@ def is_supported(
     return True
 
 
-def supported_completions(
-    D: pg.PlaneDigraph,
-    face: int,
-    budget: int,
-    minimal_only: bool = False,
-    bounded: bool = False,
-) -> Iterator[pg.Completion]:
-    """The members of ``supported_rows``, as completions."""
-    yield from _completions(
-        D, supported_rows(D, face, budget, minimal_only, bounded))
-
-
 def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
-                   minimal_only: bool = False,
                    bounded: bool = False) -> list[tuple]:
-    """Every supported completion of the face with at most ``budget`` arcs,
-    as rows, the empty one first.  Emitted completions embed crossing-free
-    and keep the graph oriented.
+    """The supported completions of the face with at most ``budget`` arcs
+    that a minimum solution could restrict to, as rows, the empty one
+    first: no arc whose head its tail already reaches (reroute via the
+    existing dipath), no two arcs between one strong-component pair.
+    Emitted completions embed crossing-free and keep the graph oriented.
 
-    With ``minimal_only``, only completions a minimum solution could
-    restrict to: no arc whose head its tail already reaches (reroute via
-    the existing dipath), no two arcs between one strong-component pair.
     With ``bounded``, ``budget`` caps a whole solution, not just this
     face: an arc set whose Eswaran-Tarjan floor
     (``SccPartition.solution_floor``) exceeds it is dropped.  Each rule
@@ -128,12 +113,12 @@ def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
     walk = D.faces[face]
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
-    reach = _reachability(D) if minimal_only else None
+    reach = _reachability(D)
     cands = []
     for i, u in enumerate(vert):
-        # no loop, no arc beside an existing one, and with minimal_only
-        # no arc whose head its tail already reaches
-        blocked = nbr[u] | 1 << u | (reach[u] if minimal_only else 0)
+        # no loop, no arc beside an existing one, no arc whose head its
+        # tail already reaches
+        blocked = nbr[u] | 1 << u | reach[u]
         for j, v in enumerate(vert):
             if not blocked >> v & 1:
                 cands.append((i, j, u, v))
@@ -147,9 +132,9 @@ def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
         pool |= sp.support_pool(D, iv, 2 * budget)
     # row-major over positions, as sorted(pool) x sorted(pool) was
     cands = [c for c in cands if c[0] in pool and c[1] in pool]
-    # a completion holds at most one arc per unordered vertex pair (no
-    # parallel or digon); with minimal_only, per strong-component pair
-    label: Sequence[int] = scc(D).component if minimal_only else range(D.n)
+    # a completion holds at most one arc per strong-component pair, so no
+    # parallel or digon either
+    label = scc(D).component
     iv_at = {p: t for t, iv in enumerate(ivs) for p in iv.positions}
     memo: dict[int, bool] = {}      # endpoint positions on one interval
 
@@ -169,12 +154,6 @@ def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
     pairs = [frozenset((label[u], label[v])) for _, _, u, v in cands]
     return [(), *_noncrossing(D, walk, cands, pairs, budget, bounded,
                               supported)]
-
-
-def _completions(D: pg.PlaneDigraph, rows: list) -> list[pg.Completion]:
-    """The completions of rows, the empty row as ``EMPTY_COMPLETION``."""
-    return [D.completion_from_darts([d for d, _ in row]) if row
-            else pg.EMPTY_COMPLETION for row in rows]
 
 
 def _noncrossing(
@@ -263,13 +242,6 @@ def _noncrossing(
 # ---------------------------------------------------------------------------
 
 
-def simple_face_candidates(
-    D: pg.PlaneDigraph, face: int
-) -> list[pg.Completion]:
-    """The members of ``simple_face_rows``, as completions."""
-    return _completions(D, simple_face_rows(D, face))
-
-
 def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     """Candidate completions of a simple face, as rows: the
     inclusion-maximal supported completions with at most three arcs.
@@ -291,7 +263,7 @@ def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     cached = D._analysis_cache.get(key)
     if cached is not None:
         return cached
-    rows = supported_rows(D, face, 3, minimal_only=True)[1:]
+    rows = supported_rows(D, face, 3)[1:]
     # the proper subsets of every member (at most 3 arcs: 6 each) are
     # exactly the dominated ones; rows in candidate order compare as sets
     inside = {sub for xs in rows for r in range(1, len(xs))
@@ -326,25 +298,18 @@ def _reachability(D: pg.PlaneDigraph) -> list[int]:
     return reach
 
 
-def directed_supported_completions(
-    D: pg.PlaneDigraph, face: int, budget: int, bounded: bool = False
-) -> list[pg.Completion]:
-    """The members of ``directed_supported_rows``, as completions."""
-    return _completions(D, directed_supported_rows(D, face, budget, bounded))
-
-
 def directed_supported_rows(
-    D: pg.PlaneDigraph, face: int, budget: int, bounded: bool = False
+    D: pg.PlaneDigraph, face: int, budget: int
 ) -> list[tuple]:
     """Completions of an acyclic-mode face attaching only to local terminal
     angles, as rows, the empty one first: non-crossing arc sets, digons
     with existing arcs allowed, parallels excluded, and arcs whose head is
     already reachable from their tail dropped (a minimum solution never
-    contains one).  With ``bounded``, ``budget`` caps a whole solution and
-    arc sets whose Eswaran-Tarjan floor exceeds it are pruned with their
-    supersets, as in ``supported_rows``.
+    contains one).  ``budget`` caps a whole solution: arc sets whose
+    Eswaran-Tarjan floor exceeds it are pruned with their supersets, as in
+    ``supported_rows`` with ``bounded``.
 
-    A face with two local terminals admits exactly one non-empty such
+    A face with two local terminals admits at most one non-empty such
     completion: the arc from its sink angle to its source angle.
     """
     dec = fa.decompose_face(D, face)
@@ -356,4 +321,4 @@ def directed_supported_rows(
     cands = [(i, j, u, v) for i, u in ends for j, v in ends
              if not reach[u] >> v & 1]
     return [(), *_noncrossing(D, walk, cands, [(u, v) for *_, u, v in cands],
-                              budget, bounded)]
+                              budget, bounded=True)]

@@ -143,12 +143,6 @@ def build_auxiliary(
     )
 
 
-def solve_auxiliary(instance: DijoinInstance) -> Optional[list[int]]:
-    return min_dijoin_upto(
-        instance.graph, instance.budget, reversible=instance.reversible
-    )
-
-
 def extract_solution(
     instance: DijoinInstance, Y: Sequence[int]
 ) -> pg.Completion:

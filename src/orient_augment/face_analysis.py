@@ -137,17 +137,6 @@ def decompose_face(D: pg.PlaneDigraph, face: int) -> FaceDecomposition:
     return dec
 
 
-def strong_intervals(D: pg.PlaneDigraph, face: int) -> tuple[Interval, ...]:
-    return decompose_face(D, face).strong_intervals
-
-
-def local_terminals(
-    D: pg.PlaneDigraph, face: int
-) -> tuple[tuple[Interval, ...], tuple[Interval, ...]]:
-    dec = decompose_face(D, face)
-    return dec.sources, dec.sinks
-
-
 @dataclass(frozen=True)
 class CensusReport:
     terminal_angles: int

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import plane_graph as pg
@@ -285,24 +285,14 @@ class _Assembly:
         graph = pg.build(len(live), arcs, rotation, mode=mode)
         # outer face: at the topmost vertex, the gap facing north; the gap
         # before a dart is its angle, so the anchor is the rotation element
-        # after that gap
+        # after that gap, the first of the list opened there
         top = max(
             (v for v in live if self.rotation_of(v)),
             key=lambda v: self.coords[v][1],
             default=None,
         )
         if top is not None:
-            ring = self.rotation_of(top)
-            bearings = [self._bearing(top, d) for d in ring]
-            after = 0
-            for i in range(len(ring)):
-                lo = bearings[i]
-                hi = bearings[(i + 1) % len(ring)]
-                span = (hi - lo) % (2 * math.pi) or 2 * math.pi
-                if (0.0 - lo) % (2 * math.pi) < span:
-                    after = (i + 1) % len(ring)
-                    break
-            anchor = ring[after]
+            anchor = self.attach_list(top, 0.0)[0]
             outer = graph.face_of_dart(anchor)
             graph = pg.build(
                 len(live), arcs, rotation, mode=mode, outer_face=outer

@@ -49,10 +49,6 @@ def head_dart(arc: int) -> int:
     return 2 * arc + 1
 
 
-def dart_arc(dart: int) -> int:
-    return dart >> 1
-
-
 def dart_is_tail(dart: int) -> bool:
     return (dart & 1) == 0
 

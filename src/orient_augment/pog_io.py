@@ -137,8 +137,10 @@ def _where(lines: list[str], arcs: list, rotation: list, mode: str,
 # ---------------------------------------------------------------------------
 
 
-def completion_to_json(completion: pg.Completion) -> str:
-    data = [
+def witness_arcs(completion: pg.Completion) -> list[dict]:
+    """The arcs as witness records: face, and vertex and position of each
+    end."""
+    return [
         {
             "face": a.face,
             "tail": {"vertex": a.tail.vertex, "position": a.tail.position},
@@ -146,7 +148,11 @@ def completion_to_json(completion: pg.Completion) -> str:
         }
         for a in completion.arcs
     ]
-    return json.dumps({"arcs": data}, indent=2, sort_keys=True) + "\n"
+
+
+def completion_to_json(completion: pg.Completion) -> str:
+    return json.dumps({"arcs": witness_arcs(completion)}, indent=2,
+                      sort_keys=True) + "\n"
 
 
 def _witness_int(rec, key: str, where: str) -> int:

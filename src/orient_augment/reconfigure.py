@@ -13,11 +13,9 @@ callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import face_analysis as fa
 from . import plane_graph as pg
-from . import supports as sp
 from .errors import EndpointNotFound, GatherBlocked, NotASolution
 from .strongconn import scc_of_arcs
 

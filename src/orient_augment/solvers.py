@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 from . import completion_enum as ce
 from . import face_analysis as fa
 from . import plane_graph as pg
+from . import pog_io
 from . import strongconn as sc
 from .errors import BudgetTooLargeForOracle, Disconnected, InfeasibleParameters
 
@@ -50,20 +51,11 @@ class SolveReport:
     stats: SolveStats = field(default_factory=SolveStats)
 
     def to_json_dict(self) -> dict:
-        wit = None
-        if self.witness is not None:
-            wit = [
-                {
-                    "face": a.face,
-                    "tail": {"vertex": a.tail.vertex, "position": a.tail.position},
-                    "head": {"vertex": a.head.vertex, "position": a.head.position},
-                }
-                for a in self.witness.arcs
-            ]
         return {
             "verdict": "yes" if self.verdict else "no",
             "optimum": self.optimum,
-            "witness": wit,
+            "witness": None if self.witness is None
+            else pog_io.witness_arcs(self.witness),
             "mode": self.mode,
             "k": self.k,
             "statistics": {
@@ -381,19 +373,21 @@ _MemberArc = namedtuple("_MemberArc", "face members ends darts")
 
 def _cover(
     D: pg.PlaneDigraph,
-    k: int,
+    levels: range,
     arc_mode: str,
     members: Callable[[int], list[list[tuple]]],
     stats: SolveStats,
 ) -> Optional[list[tuple[int, int]]]:
-    """Minimum augmentation of a non-strong ``D`` within budget ``k``, as
-    dart pairs, or None: the search of both solvers in every mode.
+    """Minimum augmentation of a non-strong ``D`` at a budget in
+    ``levels``, as dart pairs, or None: the search of both solvers in
+    every mode.
 
-    For ``b`` over ``_levels``, one covering search with cap ``b``
-    (``strongconn.cover_search``) on the component DAG, over the distinct
-    arcs of the members that ``members(b)`` lists per open face as rows
-    of ``completion_enum`` (one ``((tail dart, head dart), (u, v))`` per
-    arc; only the witness becomes a ``Completion``, in the caller).  It
+    For ``b`` over ``levels`` (a prefix of ``_levels``), one covering
+    search with cap ``b`` (``strongconn.cover_search``) on the component
+    DAG, over the distinct arcs of the members that ``members(b)`` lists
+    per open face as rows of ``completion_enum`` (one ``((tail dart,
+    head dart), (u, v))`` per arc; only the witness becomes a
+    ``Completion``, in the caller).  It
     accepts a set when one member of each face holds all of its arcs
     there and no vertex pair is joined twice (in oriented mode not even
     reversed); members embed legally and avoid the host's arcs, so every
@@ -408,7 +402,7 @@ def _cover(
     part = sc.scc(D)
     comp = part.component
     oriented = arc_mode == pg.MODE_ORIENTED
-    for b in _levels(D, k, arc_mode):
+    for b in levels:
         arcs: list[_MemberArc] = []
         for i, rows in enumerate(members(b)):
             held: dict[tuple[int, int], list] = {}
@@ -449,7 +443,7 @@ def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
 def _alternating_rows(D: pg.PlaneDigraph, b: int) -> list[list[tuple]]:
     """Per alternating face, the members a minimum solution of at most
     ``b`` arcs may restrict to there."""
-    return [ce.supported_rows(D, f, b, minimal_only=True, bounded=True)
+    return [ce.supported_rows(D, f, b, bounded=True)
             for f in fa.alternating_faces(D)]
 
 
@@ -466,9 +460,10 @@ def _montecarlo(
 
     The exact search (``_cover``) with each simple face's candidate list
     cut down to one member per trial: on every assignment when there are
-    no more of them than ``trials``, else on ``trials`` random ones.  Each
-    later search is capped one arc below the best found so far, and the
-    loop stops once that cap falls below the floor of ``_levels``."""
+    no more of them than ``trials``, else on ``trials`` random ones.  The
+    budgets come from ``_levels`` once per solve; each later search is
+    capped one arc below the best found so far, and the loop stops once
+    that cap falls below their floor."""
     levels = _levels(D, k, pg.MODE_ORIENTED)
     lists = [rows for f in fa.simple_faces(D)
              if levels and (rows := ce.simple_face_rows(D, f))]
@@ -486,7 +481,8 @@ def _montecarlo(
             break
         stats.trials += bool(lists)  # no simple face: nothing is sampled
         members = lambda b: alternating(b) + [[row] for row in assignment]
-        best = _cover(D, cap, pg.MODE_ORIENTED, members, stats) or best
+        best = _cover(D, range(levels.start, min(levels.stop, cap + 1)),
+                      pg.MODE_ORIENTED, members, stats) or best
     if best is None:
         # a no is exact when every assignment was walked
         stats.no_confidence = 1.0 if walk else sampling_confidence(
@@ -541,7 +537,8 @@ def solve_oriented(
             return _report(pg.MODE_ORIENTED, k, stats, witness)
         members = lambda b: _alternating_rows(D, b) + [
             ce.simple_face_rows(D, f) for f in fa.simple_faces(D)]
-        best = _cover(D, k, pg.MODE_ORIENTED, members, stats)
+        best = _cover(D, _levels(D, k, pg.MODE_ORIENTED), pg.MODE_ORIENTED,
+                      members, stats)
     else:
         best = _montecarlo(D, k, stats,
                            default_trials(k) if trials is None else trials,
@@ -569,8 +566,9 @@ def _solve_directed_part(
     or None when it exceeds ``kmax``."""
     if sc.is_strong(part):
         return []
-    return _cover(part, kmax, pg.MODE_DIRECTED, lambda b: [
-        ce.directed_supported_rows(part, f, b, bounded=True)
+    return _cover(part, _levels(part, kmax, pg.MODE_DIRECTED),
+                  pg.MODE_DIRECTED, lambda b: [
+        ce.directed_supported_rows(part, f, b)
         for f in range(part.f)
     ], stats)
 

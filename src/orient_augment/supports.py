@@ -27,40 +27,17 @@ a non-neighbour one bit test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import plane_graph as pg
 from .errors import MultipleCommonNeighbours
 from .face_analysis import Interval
 
-LEFT = "left"
-RIGHT = "right"
-
-# test hook: neighbour-mask reads, bit tests and face-vertex reads made by
-# family construction
-ADJACENCY_QUERIES = 0
-
-
-@dataclass(frozen=True)
-class SupportFamily:
-    face: int
-    side: str
-    q: int
-    interval_positions: tuple[int, ...]
-    members: tuple[frozenset[int], ...]   # frozensets of boundary positions
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _face_mask(D: pg.PlaneDigraph, face: int) -> int:
     """Bitmask of the face's vertices, built once per face."""
-    global ADJACENCY_QUERIES
     key = ("faceMask", face)
     mask = D._analysis_cache.get(key)
     if mask is None:
-        ADJACENCY_QUERIES += len(D.faces[face])
         mask = D._analysis_cache[key] = sum(
             1 << v for v in set(D.face_vertices(face))
         )
@@ -77,8 +54,6 @@ def common_neighbour(
     structure induced on a face, so that case raises
     ``MultipleCommonNeighbours`` as a bug guard.
     """
-    global ADJACENCY_QUERIES
-    ADJACENCY_QUERIES += 2
     walk = D.faces[face]
     va = D.dart_vertex(walk[pos_a])
     vb = D.dart_vertex(walk[pos_b])
@@ -100,14 +75,12 @@ def _jump(
     common neighbour of the angles at ``i`` and ``i + 1``, or None.  That
     neighbour is adjacent to the vertex at ``i + 1``, so the scan starts at
     ``i + 2``."""
-    global ADJACENCY_QUERIES
     u = common_neighbour(D, face, positions[i], positions[i + 1])
     if u is None:
         return None
     around = D.adjacency()[1][u]
     walk = D.faces[face]
     for h in range(i + 2, len(positions)):
-        ADJACENCY_QUERIES += 1
         if not around >> D.dart_vertex(walk[positions[h]]) & 1:
             return h
     return None
@@ -155,20 +128,17 @@ def _family(
 
 def left_supports(
     D: pg.PlaneDigraph, interval: Interval, q: int
-) -> SupportFamily:
-    return SupportFamily(
-        interval.face, LEFT, q, interval.positions,
-        _family(D, interval.face, interval.positions, q),
-    )
+) -> tuple[frozenset[int], ...]:
+    """Level ``q`` of the interval's left family: its members, as sets of
+    boundary positions."""
+    return _family(D, interval.face, interval.positions, q)
 
 
 def right_supports(
     D: pg.PlaneDigraph, interval: Interval, q: int
-) -> SupportFamily:
-    return SupportFamily(
-        interval.face, RIGHT, q, interval.positions,
-        _family(D, interval.face, interval.positions[::-1], q),
-    )
+) -> tuple[frozenset[int], ...]:
+    """Level ``q`` of the interval's right family, as ``left_supports``."""
+    return _family(D, interval.face, interval.positions[::-1], q)
 
 
 def support_pool(

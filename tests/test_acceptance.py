@@ -162,7 +162,7 @@ def test_criterion_4_counting_checks():
                         sp_left(D, iv, q),
                         sp_right(D, iv, q),
                     ):
-                        if len(fam.members) > 3 * 2 ** (q - 1):
+                        if len(fam) > 3 * 2 ** (q - 1):
                             violations += 1
     status = "PASS" if catalan_ok and violations == 0 else "FAIL"
     print(
@@ -395,14 +395,15 @@ def test_criterion_8_dijoin_correctness(corpus, brute_oriented):
             continue
         allowed = {}
         for f in sfaces[:2]:
-            cands = ce.simple_face_candidates(D, f)
-            if cands:
-                allowed[f] = cands[0]
+            rows = ce.simple_face_rows(D, f)
+            if rows:
+                allowed[f] = D.completion_from_darts(
+                    [d for d, _ in rows[0]])
         if not allowed:
             continue
         for k in (1, 2):
             inst = dj.build_auxiliary(D, allowed, k)
-            y = dj.solve_auxiliary(inst)
+            y = dj.min_dijoin_upto(inst.graph, inst.budget, inst.reversible)
             want = _brute_allowed(D, allowed, k)
             equiv_n += 1
             if want is None:
@@ -448,7 +449,7 @@ def test_pinned_candidate_constant(corpus):
     worst = 0
     for D in corpus[::3]:
         for f in fa.simple_faces(D):
-            worst = max(worst, len(ce.simple_face_candidates(D, f)))
+            worst = max(worst, len(ce.simple_face_rows(D, f)))
     print(f"\nINFO pinned candidate bound: measured {worst} <= "
           f"{sv.PINNED_SIMPLE_CANDIDATE_BOUND}")
     assert worst <= sv.PINNED_SIMPLE_CANDIDATE_BOUND

@@ -61,81 +61,90 @@ def brute_supported(D, face, budget):
     return out
 
 
+def rows_of(comps):
+    """Completions in the row form of ``completion_enum``."""
+    return [tuple(((a.tail.dart, a.head.dart), a.ends) for a in c.arcs)
+            for c in comps]
+
+
+def dart_set(row):
+    return frozenset(darts for darts, _ in row)
+
+
 def test_supported_zero_budget(simple_square):
-    comps = list(ce.supported_completions(simple_square, 0, 0))
-    assert comps == [pg.EMPTY_COMPLETION]
+    assert ce.supported_rows(simple_square, 0, 0) == [()]
 
 
 def test_supported_contains_sink_to_source(simple_square):
-    comps = list(ce.supported_completions(simple_square, 0, 1))
-    pairs = {a.ends for c in comps for a in c.arcs}
+    rows = ce.supported_rows(simple_square, 0, 1)
+    pairs = {ends for row in rows for _, ends in row}
     assert (2, 0) in pairs  # sink vertex 2 to source vertex 0
 
 
 def test_supported_enumeration_matches_brute():
+    # the full list of the reference recursion is every supported
+    # completion; the rows are its minimal members, in order
     checked = 0
     for seed in range(25):
         D = pog_io.gen_random(6, 8, seed)
         for f in range(D.f):
             if len(D.faces[f]) > 10:
                 continue
-            got = {c.key() for c in ce.supported_completions(D, f, 2)}
-            want = brute_supported(D, f, 2)
-            assert got == want, (seed, f)
+            full = list(supported_completions_reference(D, f, 2))
+            assert {c.key() for c in full} == brute_supported(D, f, 2), (seed, f)
+            assert ce.supported_rows(D, f, 2) == rows_of(posthoc_minimal(D, full))
             checked += 1
     assert checked > 20
 
 
 def test_simple_candidates_square(simple_square):
-    cands = ce.simple_face_candidates(simple_square, 0)
-    pair_sets = {frozenset(a.ends for a in c.arcs) for c in cands}
+    cands = ce.simple_face_rows(simple_square, 0)
+    pair_sets = {frozenset(ends for _, ends in row) for row in cands}
     assert frozenset([(2, 0)]) in pair_sets
     # every candidate stays within three arcs
-    assert all(len(c.arcs) <= 3 for c in cands)
+    assert all(len(row) <= 3 for row in cands)
 
 
 def test_simple_candidates_rejects_strong_face(triangle):
     with pytest.raises(NotSimpleFace):
-        ce.simple_face_candidates(triangle, 0)
+        ce.simple_face_rows(triangle, 0)
 
 
 def test_simple_candidates_cover_all_supported(simple_square):
     # every supported nonempty completion with minimal-usable arcs embeds
     # inside some candidate
-    cands = [c.key() for c in ce.simple_face_candidates(simple_square, 0)]
-    for comp in ce.supported_completions(simple_square, 0, 3):
+    cands = [dart_set(row) for row in ce.simple_face_rows(simple_square, 0)]
+    for comp in supported_completions_reference(simple_square, 0, 3):
         if not comp.arcs:
             continue
         if any(a.ends == (0, 2) for a in comp.arcs):
             continue  # ruled out: head reachable from tail already
-        key = comp.key()
+        key = frozenset((a.tail.dart, a.head.dart) for a in comp.arcs)
         assert any(key <= c for c in cands)
 
 
 def test_directed_simple_face_unique_candidate(simple_square):
-    comps = ce.directed_supported_completions(simple_square, 0, 2)
-    nonempty = [c for c in comps if c.arcs]
+    rows = ce.directed_supported_rows(simple_square, 0, 2)
+    nonempty = [row for row in rows if row]
     assert len(nonempty) == 1
-    assert [a.ends for a in nonempty[0].arcs] == [(2, 0)]
+    assert [ends for _, ends in nonempty[0]] == [(2, 0)]
 
 
 def test_directed_octagon_counts(alternating_octagon):
+    # four source and four sink components: no set of fewer than four arcs
+    # fits the budget, so the budget is four
     D = alternating_octagon
-    comps = ce.directed_supported_completions(D, 0, 3)
-    assert comps[0] is pg.EMPTY_COMPLETION
-    assert len({c.key() for c in comps}) == len(comps)
-    for c in comps:
-        for a in c.arcs:
-            assert not D.has_arc(*a.ends)
+    rows = ce.directed_supported_rows(D, 0, 4)
+    assert rows[0] == () and len(rows) > 1
+    assert len(set(map(dart_set, rows))) == len(rows)
+    for row in rows:
+        for _, ends in row:
+            assert not D.has_arc(*ends)
 
 
 # ---------------------------------------------------------------------------
 # minimality filter during generation vs. the post-hoc reference
 # ---------------------------------------------------------------------------
-
-
-def arcs_of(c):
-    return tuple((a.face, a.tail.dart, a.head.dart) for a in c.arcs)
 
 
 def closure_reference(D):
@@ -187,7 +196,7 @@ def floor_reference(D):
 
 def simple_candidates_reference(D, f):
     kept = posthoc_minimal(
-        D, [c for c in ce.supported_completions(D, f, 3) if c.arcs]
+        D, [c for c in supported_completions_reference(D, f, 3) if c.arcs]
     )
     keys = [c.key() for c in kept]
     return [c for c, key in zip(kept, keys) if not any(key < o for o in keys)]
@@ -205,9 +214,8 @@ def test_minimal_only_matches_posthoc_filter():
     checked = 0
     for D in sample_graphs():
         for f in fa.simple_faces(D):
-            got = [arcs_of(c) for c in ce.simple_face_candidates(D, f)]
-            want = [arcs_of(c) for c in simple_candidates_reference(D, f)]
-            assert got == want
+            got = ce.simple_face_rows(D, f)
+            assert got == rows_of(simple_candidates_reference(D, f))
             checked += 1
     assert checked > 50
 
@@ -231,20 +239,19 @@ def test_bounded_per_face_lists_match_filter():
         floor = floor_reference(D)
         for f in fa.alternating_faces(D):
             for k in (1, 2, 3):
-                got = list(ce.supported_completions(
-                    D, f, k, minimal_only=True, bounded=True
-                ))
+                got = ce.supported_rows(D, f, k, bounded=True)
                 want = [
-                    c for c in ce.supported_completions(D, f, k, minimal_only=True)
-                    if not c.arcs or floor([a.ends for a in c.arcs]) <= k
+                    row for row in ce.supported_rows(D, f, k)
+                    if not row or floor([ends for _, ends in row]) <= k
                 ]
-                assert list(map(arcs_of, got)) == list(map(arcs_of, want))
-                got = ce.directed_supported_completions(D, f, k, bounded=True)
+                assert got == want
+                got = ce.directed_supported_rows(D, f, k)
                 want = [
-                    c for c in ce.directed_supported_completions(D, f, k)
-                    if not c.arcs or floor([a.ends for a in c.arcs]) <= k
+                    row for row in rows_of(
+                        directed_supported_completions_reference(D, f, k))
+                    if not row or floor([ends for _, ends in row]) <= k
                 ]
-                assert list(map(arcs_of, got)) == list(map(arcs_of, want))
+                assert got == want
                 checked += len(want) > 1
     assert checked > 20
 
@@ -370,27 +377,27 @@ def kernel_graphs():
 
 
 def test_kernel_matches_reference_recursions():
-    def pairs(cs):
-        return [[(a.tail.dart, a.head.dart) for a in c.arcs] for c in cs]
-
+    # the kernel against the minimal reference recursion, and against the
+    # full one filtered after enumeration
     checked = 0
     for D in kernel_graphs():
         for f in range(D.f):
             for b in (1, 2, 3):
-                for mo, bd in itertools.product((False, True), repeat=2):
-                    got = pairs(ce.supported_completions(D, f, b, mo, bd))
-                    assert got == pairs(
-                        supported_completions_reference(D, f, b, mo, bd))
+                for bd in (False, True):
+                    got = ce.supported_rows(D, f, b, bd)
+                    assert got == rows_of(
+                        supported_completions_reference(D, f, b, True, bd))
+                    assert got == rows_of(posthoc_minimal(
+                        D, supported_completions_reference(D, f, b, False, bd)))
                     checked += len(got) > 1
         for part in sc.split_loops(sc.condense(D).condensed):
             P = part.graph
             for f in range(P.f):
                 for b in (1, 2, 3):
-                    for bd in (False, True):
-                        got = pairs(ce.directed_supported_completions(P, f, b, bd))
-                        assert got == pairs(
-                            directed_supported_completions_reference(P, f, b, bd))
-                        checked += len(got) > 1
+                    got = ce.directed_supported_rows(P, f, b)
+                    assert got == rows_of(
+                        directed_supported_completions_reference(P, f, b, True))
+                    checked += len(got) > 1
     assert checked > 1000
 
 
@@ -408,29 +415,27 @@ def row_graphs(random78):
         yield from ((part.graph, True) for part in sc.split_loops(cond))
 
 
-def test_rows_are_the_public_lists_in_order(random78):
-    # the exact search reads rows; the public lists are the reference, so
-    # it sees the same members, arcs and order as they do.  Lists are
-    # bounded, as the search draws them (unbounded ones run to 10^5 rows)
-    def rows(cs):
-        return [tuple(((a.tail.dart, a.head.dart), a.ends) for a in c.arcs)
-                for c in cs]
+def test_rows_round_trip_through_completions(random78):
+    # the exact search reads rows and builds a Completion of the witness's
+    # darts only, so each row must be the darts and ends, in order, of the
+    # completion its darts make.  Lists are bounded, as the search draws
+    # them (unbounded ones run to 10^5 rows)
+    def round_trip(D, rows):
+        return rows_of(D.completion_from_darts([d for d, _ in row])
+                       for row in rows)
 
     checked = 0
     for D, directed in row_graphs(random78):
         for f in range(D.f):
             for b in range(4):
-                for mo in (False, True):
-                    got = ce.supported_rows(D, f, b, mo, bounded=True)
-                    assert got == rows(ce.supported_completions(
-                        D, f, b, mo, bounded=True))
-                    checked += len(got) > 1
+                got = ce.supported_rows(D, f, b, bounded=True)
+                assert got == round_trip(D, got)
+                checked += len(got) > 1
                 if directed:
-                    got = ce.directed_supported_rows(D, f, b, bounded=True)
-                    assert got == rows(ce.directed_supported_completions(
-                        D, f, b, bounded=True))
+                    got = ce.directed_supported_rows(D, f, b)
+                    assert got == round_trip(D, got)
                     checked += len(got) > 1
         for f in fa.simple_faces(D):
-            assert ce.simple_face_rows(D, f) == rows(
-                ce.simple_face_candidates(D, f))
+            got = ce.simple_face_rows(D, f)
+            assert got == round_trip(D, got)
     assert checked > 1000

@@ -137,12 +137,18 @@ def test_min_dijoin_returns_the_reference_witness():
     assert multi >= 40
 
 
+def candidates(D, f):
+    """The simple face's candidate list, as completions."""
+    return [D.completion_from_darts([d for d, _ in row])
+            for row in ce.simple_face_rows(D, f)]
+
+
 def test_min_dijoin_on_gadget_arcs_returns_the_reference_witness():
     from orient_augment import enumerate_plane as ep
 
     yes = no = 0
     for D in ep.oriented_corpus(5)[::9]:
-        lists = [(f, ce.simple_face_candidates(D, f))
+        lists = [(f, candidates(D, f))
                  for f in fa.simple_faces(D)][:3]
         lists = [(f, cs) for f, cs in lists if cs]
         for pick in range(3):
@@ -160,15 +166,15 @@ def test_min_dijoin_on_gadget_arcs_returns_the_reference_witness():
 
 def test_auxiliary_without_candidates_mirrors_strongness(path3, triangle):
     inst = dj.build_auxiliary(path3, {}, 2)
-    assert dj.solve_auxiliary(inst) is None
+    assert dj.min_dijoin_upto(inst.graph, inst.budget, inst.reversible) is None
     inst = dj.build_auxiliary(triangle, {}, 2)
-    assert dj.solve_auxiliary(inst) == []
+    assert dj.min_dijoin_upto(inst.graph, inst.budget, inst.reversible) == []
 
 
 def test_auxiliary_shape(simple_square):
     D = simple_square
     f = fa.simple_faces(D)[0]
-    cands = ce.simple_face_candidates(D, f)
+    cands = candidates(D, f)
     single = next(
         c for c in cands if [a.ends for a in c.arcs] == [(2, 0)]
     )
@@ -178,7 +184,7 @@ def test_auxiliary_shape(simple_square):
     assert len(inst.reversible) == 1
     expected_arcs = D.m * (k + 1) + 1 + 2 * (k + 1)
     assert len(inst.graph.arcs) == expected_arcs
-    y = dj.solve_auxiliary(inst)
+    y = dj.min_dijoin_upto(inst.graph, inst.budget, inst.reversible)
     assert y is not None and len(y) == 1
     ext = dj.extract_solution(inst, y)
     assert [a.ends for a in ext.arcs] == [(2, 0)]
@@ -189,7 +195,7 @@ def test_auxiliary_shape(simple_square):
 def test_extract_rejects_non_gadget_arc(simple_square):
     D = simple_square
     f = fa.simple_faces(D)[0]
-    cands = ce.simple_face_candidates(D, f)
+    cands = candidates(D, f)
     inst = dj.build_auxiliary(D, {f: cands[0]}, 1)
     subdivision_arc = 0
     assert subdivision_arc not in inst.back_map
@@ -203,7 +209,7 @@ def test_unrestricted_search_never_uses_subdivision_arcs(simple_square):
     D = simple_square
     f = fa.simple_faces(D)[0]
     single = next(
-        c for c in ce.simple_face_candidates(D, f)
+        c for c in candidates(D, f)
         if [a.ends for a in a_list(c)] == [(2, 0)]
     )
     inst = dj.build_auxiliary(D, {f: single}, 2)
@@ -228,14 +234,14 @@ def test_reduction_equivalence_on_tiny_instances():
             continue
         allowed = {}
         for f in sfaces[:2]:
-            cands = ce.simple_face_candidates(D, f)
+            cands = candidates(D, f)
             if cands:
                 allowed[f] = cands[0]
         if not allowed:
             continue
         for k in (1, 2):
             inst = dj.build_auxiliary(D, allowed, k)
-            y = dj.solve_auxiliary(inst)
+            y = dj.min_dijoin_upto(inst.graph, inst.budget, inst.reversible)
             want = brute_allowed(D, allowed, k)
             if want is None:
                 assert y is None or len(y) > k

@@ -35,12 +35,12 @@ def test_simple_square_structure(simple_square):
     dec = fa.decompose_face(simple_square, 0)
     assert dec.classify().kind == fa.CLASS_SIMPLE
     assert len(dec.dipaths) == 2
-    sources, sinks = fa.local_terminals(simple_square, 0)
+    sources, sinks = dec.sources, dec.sinks
     assert len(sources) == 1 and len(sinks) == 1
 
 
 def test_strong_face_has_single_interval(triangle):
-    ivs = fa.strong_intervals(triangle, 0)
+    ivs = fa.decompose_face(triangle, 0).strong_intervals
     assert len(ivs) == 1
     assert len(ivs[0]) == 3
 

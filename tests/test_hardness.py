@@ -127,7 +127,7 @@ def test_clause_gadget_census():
     assert all(len(D.faces[f]) == 3 for f in inner)
     # triangle faces admit no completion at all
     for f in inner[:3]:
-        assert list(ce.supported_completions(D, f, 1)) == [pg.EMPTY_COMPLETION]
+        assert ce.supported_rows(D, f, 1) == [()]
 
 
 def one_clause_formula(pols=(True, False, False)):

@@ -186,6 +186,14 @@ def test_witness_json_roundtrip(path3):
     assert back.key() == rep.witness.key()
 
 
+def test_report_and_witness_file_write_the_same_arcs(path3):
+    for D, k in ((path3, 1), (pog_io.gen_random(8, 9, seed=0), 3)):
+        rep = sv.solve_oriented(D, k)
+        assert rep.verdict and rep.witness.arcs
+        assert rep.to_json_dict()["witness"] == json.loads(
+            pog_io.completion_to_json(rep.witness))["arcs"]
+
+
 def test_export_dot_deterministic(triangle):
     a = pog_io.export_dot(triangle)
     b = pog_io.export_dot(triangle)
@@ -275,6 +283,24 @@ def test_cli_gen_random_and_hard(tmp_path):
     assert cli.main(["gen-hard", str(cnf), "-o", str(hard)]) == 0
     H = pog_io.parse_pog(hard.read_text())
     assert H.mode == "oriented" and H.connected
+
+
+def test_cli_output_file_matches_stdout(tmp_path, capsys):
+    g = tmp_path / "g.pog"
+    g.write_text(pog_io.write_pog(pog_io.gen_random(7, 8, seed=2)))
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 -2 -3 0\n")
+    out = tmp_path / "out.pog"
+    for argv in (["condense", str(g)], ["gen-hard", str(cnf)],
+                 ["gen-random", "-n", "6", "-m", "8"]):
+        assert cli.main(argv) == 0
+        shown = capsys.readouterr().out
+        assert shown
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        assert out.read_text() == shown and capsys.readouterr().out == ""
+    # without --seed, gen-random uses seed 0
+    assert cli.main(["gen-random", "-n", "6", "-m", "8", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == shown
 
 
 def test_cli_usage_error():

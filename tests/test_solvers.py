@@ -251,6 +251,23 @@ def test_montecarlo_default_trials_stops_at_terminal_floor():
     assert sv.solve_oriented(fresh(D), 3).optimum == 2
 
 
+def test_montecarlo_computes_levels_once(monkeypatch):
+    # the budgets of a Monte-Carlo solve do not depend on the trial
+    calls = 0
+    levels = sv._levels
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return levels(*args)
+
+    monkeypatch.setattr(sv, "_levels", counted)
+    D = pog_io.parse_pog((DATA / "planted_multi_12.pog").read_text())
+    rep = sv.solve_oriented(D, 3, method="montecarlo", trials=2000, seed=0)
+    assert rep.verdict and rep.stats.trials == 2000
+    assert calls == 1
+
+
 def test_montecarlo_agrees_with_exhaustive_under_default_trials(random78):
     for D in ep.oriented_corpus(5)[::27] + [random78(i) for i in range(150)]:
         mc = sv.solve_oriented(fresh(D), 3, method="montecarlo", seed=0)
