@@ -230,9 +230,15 @@ def plane_maps_up_to(n_max: int):
 
 
 def orientations(emap: PlaneMap) -> list[pg.PlaneDigraph]:
-    """Every orientation of the embedding up to its automorphisms."""
+    """Every orientation of the embedding up to its automorphisms.
+
+    The graphs share their tables: each arc is one of two pair tuples kept
+    per map edge, and the rings are interned, so equal rings are one tuple.
+    """
     actions = automorphism_edge_actions(emap)
     m = emap.m
+    pairs = [(uv, uv[::-1]) for uv in emap.edges]
+    rings: dict[tuple[int, ...], tuple[int, ...]] = {}
     reps = []
     seen = set()
     for mask in range(1 << m):
@@ -250,19 +256,11 @@ def orientations(emap: PlaneMap) -> list[pg.PlaneDigraph]:
         seen.update(orbit)
         if rep != mask:
             continue
-        arcs = []
-        for e, (u, v) in enumerate(emap.edges):
-            arcs.append((v, u) if (mask >> e) & 1 else (u, v))
+        arcs = [pairs[e][mask >> e & 1] for e in range(m)]
         rotation = []
-        for v in range(emap.n):
-            ring = []
-            for d in emap.rotation[v]:
-                e = d >> 1
-                if (mask >> e) & 1:
-                    ring.append(d ^ 1)
-                else:
-                    ring.append(d)
-            rotation.append(tuple(ring))
+        for ring in emap.rotation:
+            ring = tuple([d ^ (mask >> (d >> 1) & 1) for d in ring])
+            rotation.append(rings.setdefault(ring, ring))
         reps.append(pg.build(emap.n, arcs, rotation, mode=pg.MODE_ORIENTED))
     return reps
 

@@ -119,7 +119,6 @@ class PlaneDigraph:
         "_dart_face",
         "_dart_pos",
         "_rot_next",
-        "_angle_cache",
         "_adj_cache",
         "_scc_cache",
         "_analysis_cache",
@@ -148,7 +147,6 @@ class PlaneDigraph:
         self._dart_face = dart_face
         self._dart_pos = dart_pos
         self._rot_next = rot_next
-        self._angle_cache: dict[int, Angle] = {}
         self._adj_cache: Optional[tuple[frozenset, list[int]]] = None
         self._scc_cache = None
         self._analysis_cache: dict = {}
@@ -172,25 +170,19 @@ class PlaneDigraph:
 
     def angle(self, dart: int) -> Angle:
         """The angle keyed by ``dart`` (following-arc end of the position)."""
-        cached = self._angle_cache.get(dart)
-        if cached is not None:
-            return cached
         if not 0 <= dart < len(self._dart_face):
             raise StaleAngle(f"dart {dart} is not an angle of this graph")
         f = self._dart_face[dart]
         pos = self._dart_pos[dart]
         walk = self.faces[f]
-        prev = walk[pos - 1]
-        ang = Angle(
+        return Angle(
             face=f,
             position=pos,
             vertex=self.dart_vertex(dart),
-            preceding_arc=prev >> 1,
+            preceding_arc=walk[pos - 1] >> 1,
             following_arc=dart >> 1,
             dart=dart,
         )
-        self._angle_cache[dart] = ang
-        return ang
 
     def face_vertices(self, face: int) -> tuple[int, ...]:
         return tuple(self.dart_vertex(d) for d in self.faces[face])
@@ -332,11 +324,15 @@ def build(
     filled in, connectivity by a search over the rings; only when one
     fails do the ordered checks of ``_first_error`` run, to name the
     first error.
+
+    Arc ends must be ints.  The arc pairs and rings are stored as given:
+    a tuple stays the same object, so graphs built from shared tuples
+    share them; a list is converted.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    arcs = tuple([(int(u), int(v)) for u, v in arcs])
-    rotation = tuple([tuple(ring) for ring in rotation])
+    arcs = tuple(map(tuple, arcs))
+    rotation = tuple(map(tuple, rotation))
     m = len(arcs)
     vert = [v for uv in arcs for v in uv]  # dart -> its vertex
     nd = 2 * m

@@ -1,5 +1,7 @@
+import gc
 import math
 import pathlib
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -89,6 +91,59 @@ def test_foreign_darts_are_stale(simple_square):
         for pair in ((dart, 0), (0, dart)):
             with pytest.raises(StaleAngle):
                 pg.insert_arcs(D, [pair])
+    # angles are built on demand; equal calls give equal values
+    for dart in range(2 * D.m):
+        assert D.angle(dart) == D.angle(dart)
+    pairs = [(walk[0], walk[2]) for walk in D.faces]
+    assert (D.completion_from_darts(pairs).key()
+            == D.completion_from_darts(pairs).key())
+
+
+def test_build_keeps_pair_and_ring_tuples():
+    arcs = ((0, 1), (1, 2), (2, 0))
+    rotation = ((0, 5), (2, 1), (4, 3))
+    D = pg.build(3, arcs, rotation)
+    assert all(D.arcs[i] is arcs[i] for i in range(3))
+    assert all(D.rotation[v] is rotation[v] for v in range(3))
+    L = pg.build(3, [list(uv) for uv in arcs], [list(r) for r in rotation])
+    assert (L.arcs, L.rotation, L.faces) == (D.arcs, D.rotation, D.faces)
+
+
+def test_orientations_of_one_map_share_tuples():
+    def map_key(D):  # the underlying map: edges as (min, max), their rings
+        flip = [u > v for u, v in D.arcs]
+        return (D.n, tuple(tuple(sorted(uv)) for uv in D.arcs),
+                tuple(tuple(d ^ flip[d >> 1] for d in r) for r in D.rotation))
+
+    groups: dict = {}
+    for D in ep.oriented_corpus(4):
+        groups.setdefault(map_key(D), []).append(D)
+    shared = [0, 0]  # equal arc pairs, equal rings
+    for graphs in groups.values():
+        for D, E in zip(graphs, graphs[1:]):
+            for i, (xs, ys) in enumerate([(D.arcs, E.arcs),
+                                          (D.rotation, E.rotation)]):
+                for a, b in zip(xs, ys):
+                    if a == b:
+                        assert a is b
+                        shared[i] += 1
+    assert min(shared) > 0
+
+
+def test_corpus5_footprint():
+    """Retained bytes per graph of the n <= 5 corpus (Python 3.11): 1,880
+    with per-graph pair and ring tuples and an angle cache, 1,212 with
+    them shared and no cache."""
+    ep.oriented_corpus(3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = ep.oriented_corpus(5)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(corpus) <= 1600
 
 
 @pytest.mark.parametrize("mode", ["digon", "Oriented"])
