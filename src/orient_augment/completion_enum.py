@@ -13,7 +13,6 @@ covering search reads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -21,7 +20,7 @@ from . import face_analysis as fa
 from . import plane_graph as pg
 from . import supports as sp
 from .errors import NotSimpleFace
-from .strongconn import scc
+from .strongconn import reach, scc
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +28,6 @@ from .strongconn import scc
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def triangulations(m: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """All triangulations of a convex polygon on vertices 0..m-1, as sets
     of chords; there are exactly catalan(m - 2) of them."""
@@ -113,12 +111,12 @@ def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
     walk = D.faces[face]
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
-    reach = _reachability(D)
+    reached = reach(D)
     cands = []
     for i, u in enumerate(vert):
         # no loop, no arc beside an existing one, no arc whose head its
         # tail already reaches
-        blocked = nbr[u] | 1 << u | reach[u]
+        blocked = nbr[u] | 1 << u | reached[u]
         for j, v in enumerate(vert):
             if not blocked >> v & 1:
                 cands.append((i, j, u, v))
@@ -242,6 +240,7 @@ def _noncrossing(
 # ---------------------------------------------------------------------------
 
 
+@pg.derived
 def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     """Candidate completions of a simple face, as rows: the
     inclusion-maximal supported completions with at most three arcs.
@@ -252,50 +251,24 @@ def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     maximal members loses nothing.  Every member is dominated by no other
     (adding arcs only coarsens the strong-component partition of the
     face-induced subgraph), and each dominates-or-equals every completion
-    it covers.  Domination is read off the rows, and the list is cached
+    it covers.  Domination is read off the rows, and the list is kept
     per graph."""
     dec = fa.decompose_face(D, face)
     if dec.local_terminal_count != 2:
         raise NotSimpleFace(
             f"face {face} has {dec.local_terminal_count} local terminals"
         )
-    key = ("simple_cands", face)
-    cached = D._analysis_cache.get(key)
-    if cached is not None:
-        return cached
     rows = supported_rows(D, face, 3)[1:]
     # the proper subsets of every member (at most 3 arcs: 6 each) are
     # exactly the dominated ones; rows in candidate order compare as sets
     inside = {sub for xs in rows for r in range(1, len(xs))
               for sub in combinations(xs, r)}
-    out = [xs for xs in rows if xs not in inside]
-    D._analysis_cache[key] = out
-    return out
+    return [xs for xs in rows if xs not in inside]
 
 
 # ---------------------------------------------------------------------------
 # digon-allowed variant: completions on local terminals of acyclic faces
 # ---------------------------------------------------------------------------
-
-
-def _reachability(D: pg.PlaneDigraph) -> list[int]:
-    """Bitmask of the vertices each vertex reaches, itself included, in one
-    pass over the condensation: component ids are numbered sinks first, so
-    every successor of a component is final before the component is."""
-    cached = D._analysis_cache.get("reach")
-    if cached is not None:
-        return cached
-    part = scc(D)
-    creach = [sum(1 << v for v in ms) for ms in part.members]
-    succ: list[list[int]] = [[] for _ in creach]
-    for cu, cv in part.comp_arcs:
-        succ[cu].append(cv)
-    for c, targets in enumerate(succ):
-        for t in targets:
-            creach[c] |= creach[t]
-    reach = [creach[c] for c in part.component]
-    D._analysis_cache["reach"] = reach
-    return reach
 
 
 def directed_supported_rows(
@@ -316,9 +289,9 @@ def directed_supported_rows(
     positions = sorted(p for t in dec.terminals for p in t.positions)
     walk = D.faces[face]
     ends = [(p, D.dart_vertex(walk[p])) for p in positions]
-    reach = _reachability(D)
+    reached = reach(D)
     # the vertex itself, and the head of an existing arc, are reached too
     cands = [(i, j, u, v) for i, u in ends for j, v in ends
-             if not reach[u] >> v & 1]
+             if not reached[u] >> v & 1]
     return [(), *_noncrossing(D, walk, cands, [(u, v) for *_, u, v in cands],
                               budget, bounded=True)]

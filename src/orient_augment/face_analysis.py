@@ -87,6 +87,7 @@ class FaceDecomposition:
         return tuple(both)
 
 
+@pg.derived
 def decompose_face(D: pg.PlaneDigraph, face: int) -> FaceDecomposition:
     """Strong intervals, local terminals, and interval dipaths of a face.
 
@@ -95,9 +96,6 @@ def decompose_face(D: pg.PlaneDigraph, face: int) -> FaceDecomposition:
     both flanking boundary arcs leave it and a local sink when both enter
     it; the positions between two consecutive local terminals form an
     interval dipath.  Each list is in order of first position."""
-    cache = D._analysis_cache.setdefault("faces", {})
-    if face in cache:
-        return cache[face]
     comp = scc(D).component
     walk = D.faces[face]
     r = len(walk)
@@ -130,11 +128,10 @@ def decompose_face(D: pg.PlaneDigraph, face: int) -> FaceDecomposition:
     dipaths = sorted(
         (interval(INTERVAL_DIPATH, b, e) for b, e in gaps if b < e),
         key=lambda iv: iv.start)
-    dec = cache[face] = FaceDecomposition(
+    return FaceDecomposition(
         face, tuple(runs),
         tuple(Interval(face, kinds[i], runs[i].positions) for i in term),
         tuple(dipaths))
-    return dec
 
 
 @dataclass(frozen=True)
@@ -197,26 +194,26 @@ def classify_all(D: pg.PlaneDigraph) -> tuple[dict, CensusReport]:
     return classes, report
 
 
+@pg.derived
 def open_faces(D: pg.PlaneDigraph) -> list[int]:
     """The faces holding a dart of an arc between two strong components, in
     id order.  Only these can have local terminals: the boundary of any
     other face lies in one component, so its component ids form one run."""
-    cache = D._analysis_cache
-    if "open" not in cache:
-        comp = scc(D).component
-        cache["open"] = sorted({
-            D.face_of_dart(d)
-            for a, (u, v) in enumerate(D.arcs) if comp[u] != comp[v]
-            for d in (2 * a, 2 * a + 1)
-        })
-    return cache["open"]
+    comp = scc(D).component
+    return sorted({
+        D.face_of_dart(d)
+        for a, (u, v) in enumerate(D.arcs) if comp[u] != comp[v]
+        for d in (2 * a, 2 * a + 1)
+    })
 
 
+@pg.derived
 def alternating_faces(D: pg.PlaneDigraph) -> list[int]:
     return [f for f in open_faces(D)
             if decompose_face(D, f).local_terminal_count >= 4]
 
 
+@pg.derived
 def simple_faces(D: pg.PlaneDigraph) -> list[int]:
     return [f for f in open_faces(D)
             if decompose_face(D, f).local_terminal_count == 2]

@@ -24,6 +24,7 @@ error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Optional, Sequence
 
@@ -101,6 +102,30 @@ class Completion:
 EMPTY_COMPLETION = Completion(())
 
 
+def derived(fn):
+    """Memoize a table derived from a graph, ``fn(D)`` or ``fn(D, arg)``
+    with one hashable ``arg`` (a table is never ``None``), in the graph's
+    one store ``D._derived``: a dict, ``None`` until the first table is
+    asked for, keyed by ``fn`` or by ``(fn, arg)``.  Graphs are immutable,
+    so an entry never goes stale; it lives as long as its graph, and no
+    two graphs share one.  Every later caller gets the same object, so
+    only a table meant to grow (``supports._grown``, ``solvers._memo``)
+    is ever mutated."""
+    one = fn.__code__.co_argcount == 1
+
+    def table(D, arg=None):
+        store = D._derived
+        if store is None:
+            store = D._derived = {}
+        key = fn if one else (fn, arg)
+        value = store.get(key)
+        if value is None:
+            value = store[key] = fn(D) if one else fn(D, arg)
+        return value
+
+    return functools.wraps(fn)(table)
+
+
 class PlaneDigraph:
     """Immutable plane multidigraph with traced faces.
 
@@ -119,9 +144,7 @@ class PlaneDigraph:
         "_dart_face",
         "_dart_pos",
         "_rot_next",
-        "_adj_cache",
-        "_scc_cache",
-        "_analysis_cache",
+        "_derived",
     )
 
     def __init__(
@@ -147,9 +170,7 @@ class PlaneDigraph:
         self._dart_face = dart_face
         self._dart_pos = dart_pos
         self._rot_next = rot_next
-        self._adj_cache: Optional[tuple[frozenset, list[int]]] = None
-        self._scc_cache = None
-        self._analysis_cache: dict = {}
+        self._derived: Optional[dict] = None  # see derived()
 
     # -- basic accessors ----------------------------------------------------
 
@@ -187,17 +208,16 @@ class PlaneDigraph:
     def face_vertices(self, face: int) -> tuple[int, ...]:
         return tuple(self.dart_vertex(d) for d in self.faces[face])
 
+    @derived
     def adjacency(self) -> tuple[frozenset, list[int]]:
         """(set of ordered arc pairs, per vertex the bitmask of its
         underlying neighbours, the vertex itself excluded)."""
-        if self._adj_cache is None:
-            nbr = [0] * self.n
-            for u, v in self.arcs:
-                if u != v:
-                    nbr[u] |= 1 << v
-                    nbr[v] |= 1 << u
-            self._adj_cache = (frozenset(self.arcs), nbr)
-        return self._adj_cache
+        nbr = [0] * self.n
+        for u, v in self.arcs:
+            if u != v:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+        return (frozenset(self.arcs), nbr)
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.adjacency()[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import face_analysis as fa
 from . import plane_graph as pg
 from .errors import EndpointNotFound, GatherBlocked, NotASolution
-from .strongconn import scc_of_arcs
+from .strongconn import scc
 
 LEFT = "left"
 RIGHT = "right"
@@ -74,11 +74,8 @@ class Multicompletion:
         return out
 
     def is_strong_with(self) -> bool:
-        arcs = [(u, v) for (u, v) in self.D.arcs] + [
-            (u, v) for (u, v) in self.vertex_pairs() if u != v
-        ]
-        comp = scc_of_arcs(self.D.n, arcs)
-        return max(comp) == 0 if comp else True
+        # no source component is left on the component DAG plus the arcs
+        return not scc(self.D).terminal_sides(self.vertex_pairs())[0]
 
     def internal_conflicts(self) -> bool:
         """True when the multiset carries a loop, a parallel pair, or a
@@ -227,8 +224,7 @@ def gather(
         (pos_i, RIGHT, pos_j),
         (pos_j, LEFT, pos_i),
     ):
-        work = X.copy()
-        ok = True
+        work = X
         while True:
             ends = [
                 e
@@ -236,21 +232,12 @@ def gather(
                 if work.endpoint_position(e) == source
             ]
             if not ends:
-                break
-            moved_any = False
+                return work
             # outermost endpoint first: its window reaches the target angle
-            for e in (list(reversed(ends)) if direction == RIGHT else ends):
-                out, moved = shift(work, e, direction)
-                if moved and out.endpoint_position(e) == target:
-                    work = out
-                    moved_any = True
-                    break
-                ok = False
+            e = ends[-1] if direction == RIGHT else ends[0]
+            work, moved = shift(work, e, direction)
+            if not moved or work.endpoint_position(e) != target:
                 break
-            if not ok or not moved_any:
-                break
-        if ok:
-            return work
     raise GatherBlocked(
         f"face {face}: angles {pos_i},{pos_j} resist gathering"
     )

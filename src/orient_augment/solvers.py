@@ -12,7 +12,6 @@ allowed).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -343,8 +342,9 @@ class _Memo:
             self.opt, self.witness = len(witness.arcs), witness
 
 
+@pg.derived
 def _memo(D: pg.PlaneDigraph, mode: str) -> _Memo:
-    return D._analysis_cache.setdefault(("memo", mode), _Memo())
+    return _Memo()
 
 
 def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
@@ -440,6 +440,7 @@ def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
     return -math.expm1(trials * math.log1p(-p))
 
 
+@pg.derived
 def _alternating_rows(D: pg.PlaneDigraph, b: int) -> list[list[tuple]]:
     """Per alternating face, the members a minimum solution of at most
     ``b`` arcs may restrict to there."""
@@ -467,7 +468,6 @@ def _montecarlo(
     levels = _levels(D, k, pg.MODE_ORIENTED)
     lists = [rows for f in fa.simple_faces(D)
              if levels and (rows := ce.simple_face_rows(D, f))]
-    alternating = functools.cache(functools.partial(_alternating_rows, D))
     walk = math.prod(map(len, lists)) <= trials
     if walk:
         assignments = itertools.product(*lists)
@@ -480,7 +480,8 @@ def _montecarlo(
         if cap < levels.start:
             break
         stats.trials += bool(lists)  # no simple face: nothing is sampled
-        members = lambda b: alternating(b) + [[row] for row in assignment]
+        members = lambda b: _alternating_rows(D, b) + [
+            [row] for row in assignment]
         best = _cover(D, range(levels.start, min(levels.stop, cap + 1)),
                       pg.MODE_ORIENTED, members, stats) or best
     if best is None:

@@ -37,9 +37,6 @@ class SccPartition:
     def terminal_count(self) -> int:
         return len(self.sources) + len(self.sinks)
 
-    def is_strong(self) -> bool:
-        return len(self.members) <= 1
-
     def terminal_sides(self, ends=()) -> tuple[list[int], list[int]]:
         """``terminal_sides`` of the graph plus the arcs ``ends`` (vertex
         pairs), run on the component DAG: sides are component-id masks."""
@@ -182,13 +179,12 @@ def cover_search(n: int, arcs, cands, cap: int, usable=None):
     return (chosen if search(cap, frozenset()) else None), nodes
 
 
+@pg.derived
 def scc(D: pg.PlaneDigraph) -> SccPartition:
     """Strong components with terminal (source/sink) flags.
 
     A graph with one component has no terminals.
     """
-    if D._scc_cache is not None:
-        return D._scc_cache
     comp = scc_of_arcs(D.n, D.arcs)
     ncomp = max(comp) + 1 if comp else 0
     members: list[list[int]] = [[] for _ in range(ncomp)]
@@ -207,19 +203,33 @@ def scc(D: pg.PlaneDigraph) -> SccPartition:
         has_out = set(cu for cu, _ in comp_arcs)
         sources = tuple(c for c in range(ncomp) if c not in has_in)
         sinks = tuple(c for c in range(ncomp) if c not in has_out)
-    part = SccPartition(
+    return SccPartition(
         component=tuple(comp),
         members=tuple(tuple(ms) for ms in members),
         comp_arcs=frozenset(comp_arcs),
         sources=sources,
         sinks=sinks,
     )
-    D._scc_cache = part
-    return part
 
 
 def is_strong(D: pg.PlaneDigraph) -> bool:
-    return scc(D).is_strong()
+    return scc(D).count <= 1
+
+
+@pg.derived
+def reach(D: pg.PlaneDigraph) -> list[int]:
+    """Bitmask of the vertices each vertex reaches, itself included, in one
+    pass over the condensation: component ids are numbered sinks first, so
+    every successor of a component is final before the component is."""
+    part = scc(D)
+    creach = [sum(1 << v for v in ms) for ms in part.members]
+    succ: list[list[int]] = [[] for _ in creach]
+    for cu, cv in part.comp_arcs:
+        succ[cu].append(cv)
+    for c, targets in enumerate(succ):
+        for t in targets:
+            creach[c] |= creach[t]
+    return [creach[c] for c in part.component]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ where ``2q >= r`` every set is; families are built only past the windows.
 
 Both rules look only at a member's last angle, so each interval side is
 grown once: level q + 1 is built from level q, and a higher level extends
-the levels cached per (face, positions in side order).  Adjacency is read
+the levels kept per (face, positions in side order).  Adjacency is read
 from the graph's neighbour bitmasks (``PlaneDigraph.adjacency``) and a
-cached vertex mask per face, so a common neighbour is one AND of masks and
+vertex mask kept per face, so a common neighbour is one AND of masks and
 a non-neighbour one bit test.
 """
 
@@ -33,15 +33,11 @@ from . import plane_graph as pg
 from .errors import MultipleCommonNeighbours
 from .face_analysis import Interval
 
+
+@pg.derived
 def _face_mask(D: pg.PlaneDigraph, face: int) -> int:
     """Bitmask of the face's vertices, built once per face."""
-    key = ("faceMask", face)
-    mask = D._analysis_cache.get(key)
-    if mask is None:
-        mask = D._analysis_cache[key] = sum(
-            1 << v for v in set(D.face_vertices(face))
-        )
-    return mask
+    return sum(1 << v for v in set(D.face_vertices(face)))
 
 
 def common_neighbour(
@@ -86,6 +82,13 @@ def _jump(
     return None
 
 
+@pg.derived
+def _grown(D: pg.PlaneDigraph, side: tuple[int, tuple[int, ...]]) -> list:
+    """The levels of the left family of one (face, positions) side grown so
+    far: [last level as index tuples, every level's members, jumps]."""
+    return [[], [], {}]
+
+
 def _family(
     D: pg.PlaneDigraph, face: int, positions: tuple[int, ...], q: int
 ) -> tuple[frozenset[int], ...]:
@@ -95,11 +98,7 @@ def _family(
     lands two or more past the last one, so no member is built twice."""
     if q < 1:
         return ()
-    key = ("supLevels", face, positions)
-    grown = D._analysis_cache.get(key)
-    if grown is None:
-        # [last level as index tuples, every level's members, jumps]
-        grown = D._analysis_cache[key] = [[], [], {}]
+    grown = _grown(D, (face, positions))
     frontier, members, jumps = grown
     if q <= len(members):
         return members[q - 1]
@@ -153,17 +152,13 @@ def support_pool(
     q_cap = min(q_max, r)
     if 2 * q_cap + 2 >= r:
         return frozenset(interval.positions)
-    key = ("supPool", interval.face, interval.positions, q_cap)
-    pool = D._analysis_cache.get(key)
-    if pool is None:
-        pool = D._analysis_cache[key] = frozenset(
-            p
-            for positions in (interval.positions, interval.positions[::-1])
-            for q in range(1, q_cap + 1)
-            for b in _family(D, interval.face, positions, q)
-            for p in b
-        )
-    return pool
+    return frozenset(
+        p
+        for positions in (interval.positions, interval.positions[::-1])
+        for q in range(1, q_cap + 1)
+        for b in _family(D, interval.face, positions, q)
+        for p in b
+    )
 
 
 def is_supported_on_interval(

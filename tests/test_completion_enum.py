@@ -226,7 +226,7 @@ def test_reachability_matches_naive_closure():
         for seed in range(4):
             graphs.append(pog_io.gen_random(n, n - 1 + seed * (2 * n - 5) // 3, seed))
     for D in graphs:
-        assert ce._reachability(D) == closure_reference(D)
+        assert sc.reach(D) == closure_reference(D)
         # the one-pass closure relies on Tarjan's sinks-first numbering
         assert all(cu > cv for cu, cv in sc.scc(D).comp_arcs)
 
@@ -275,7 +275,7 @@ def supported_completions_reference(D, face, budget, minimal_only=False,
     r = len(walk)
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
-    reach = ce._reachability(D) if minimal_only else None
+    reach = sc.reach(D) if minimal_only else None
     cands = []
     for i, u in enumerate(vert):
         blocked = nbr[u] | 1 << u | (reach[u] if minimal_only else 0)
@@ -332,7 +332,7 @@ def directed_supported_completions_reference(D, face, budget, bounded=False):
     positions = sorted(p for t in dec.terminals for p in t.positions)
     walk = D.faces[face]
     r = len(walk)
-    reach = ce._reachability(D)
+    reach = sc.reach(D)
     part = sc.scc(D)
     cands = []
     for i in positions:

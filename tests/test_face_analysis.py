@@ -112,11 +112,9 @@ def test_dag_terminal_bound(n, seed):
 
 def test_interval_dipath_reachability():
     # Spot-check: on dipaths, later positions are reachable from earlier
-    import orient_augment.completion_enum as ce
-
     for seed in range(20):
         D = pog_io.gen_random(7, 9, seed + 500)
-        reach = ce._reachability(D)
+        reach = sc.reach(D)
         for f in range(D.f):
             dec = fa.decompose_face(D, f)
             walk = D.faces[f]

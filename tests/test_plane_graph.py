@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orient_augment import completion_enum as ce
 from orient_augment import enumerate_plane as ep
+from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
+from orient_augment import solvers as sv
 from orient_augment import strongconn as sc
 from orient_augment.errors import (
     CrossingArcs, DuplicateArcEnd, ModeViolation, NonSphericalEmbedding,
@@ -133,7 +136,8 @@ def test_orientations_of_one_map_share_tuples():
 def test_corpus5_footprint():
     """Retained bytes per graph of the n <= 5 corpus (Python 3.11): 1,880
     with per-graph pair and ring tuples and an angle cache, 1,212 with
-    them shared and no cache."""
+    them shared and no cache, about 1,133 with no empty store of derived
+    tables."""
     ep.oriented_corpus(3)
     gc.collect()
     tracemalloc.start()
@@ -144,6 +148,65 @@ def test_corpus5_footprint():
     finally:
         tracemalloc.stop()
     assert retained / len(corpus) <= 1600
+
+
+def _solve_both(D):
+    sv.solve_oriented(D, 3)
+    sv.solve_directed(D, 3)
+
+
+def _derived_calls(D):
+    """Every derived table of a solved graph, as (name, thunk) pairs."""
+    calls = [("adjacency", D.adjacency), ("scc", lambda: sc.scc(D)),
+             ("reach", lambda: sc.reach(D)),
+             ("open_faces", lambda: fa.open_faces(D)),
+             ("alternating_faces", lambda: fa.alternating_faces(D)),
+             ("simple_faces", lambda: fa.simple_faces(D))]
+    calls += [(f"decompose_face {f}", lambda f=f: fa.decompose_face(D, f))
+              for f in range(D.f)]
+    calls += [(f"simple_face_rows {f}", lambda f=f: ce.simple_face_rows(D, f))
+              for f in fa.simple_faces(D)]
+    calls += [(f"_alternating_rows {b}", lambda b=b: sv._alternating_rows(D, b))
+              for b in range(4)]
+    calls += [(f"_memo {mode}", lambda mode=mode: sv._memo(D, mode))
+              for mode in (pg.MODE_ORIENTED, pg.MODE_DIRECTED)]
+    return calls
+
+
+def test_fresh_graphs_have_no_derived_tables(simple_square):
+    text = pog_io.write_pog(pog_io.gen_random(9, 14, 3))
+    for D in (simple_square, pog_io.parse_pog(text),
+              *ep.oriented_corpus(4)[:50]):
+        assert D._derived is None
+    assert pg.PlaneDigraph.__slots__.count("_derived") == 1
+    assert not [s for s in pg.PlaneDigraph.__slots__ if "cache" in s]
+
+
+def test_derived_tables_are_kept_after_solving():
+    for seed in range(1000, 1006):
+        D = pog_io.gen_random(8, 11, seed)
+        _solve_both(D)
+        stored = dict(D._derived)
+        # the solves stored the per-graph tables: asking again adds none
+        for name, call in _derived_calls(D)[:4]:
+            assert call() is call(), name
+        assert len(D._derived) == len(stored)
+        for name, call in _derived_calls(D):
+            first = call()
+            assert call() is first, name
+        assert all(D._derived[key] is table for key, table in stored.items())
+
+
+def test_graphs_never_share_derived_tables():
+    text = pog_io.write_pog(pog_io.gen_random(8, 11, 1003))
+    D, E = pog_io.parse_pog(text), pog_io.parse_pog(text)
+    _solve_both(D)
+    assert E._derived is None
+    _solve_both(E)
+    assert D._derived is not E._derived
+    for (name, call), (_, other) in zip(_derived_calls(D), _derived_calls(E)):
+        a, b = call(), other()
+        assert a == b and a is not b, name
 
 
 @pytest.mark.parametrize("mode", ["digon", "Oriented"])

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
 from orient_augment import completion_enum as ce
 from orient_augment import enumerate_plane as ep
 from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
+from orient_augment import pog_io
 from orient_augment import reconfigure as rc
 from orient_augment import solvers as sv
-from orient_augment.errors import NotASolution
+from orient_augment.errors import GatherBlocked, NotASolution
 
 
 def path_graph(n):
@@ -102,6 +105,82 @@ def test_gather_vacuous_without_endpoints():
     dipath = dec.dipaths[0]
     out = rc.gather(X, 0, dipath, dipath.positions[0], dipath.positions[-1])
     assert out.arcs == []
+
+
+def gather_reference(X, face, interval, pos_i, pos_j):
+    """``gather`` as first written: an inner loop over the endpoints at the
+    source angle, outermost first, that leaves on its first one."""
+    for source, direction, target in (
+        (pos_i, rc.RIGHT, pos_j),
+        (pos_j, rc.LEFT, pos_i),
+    ):
+        work = X.copy()
+        ok = True
+        while True:
+            ends = [
+                e
+                for e in work.endpoints_on(face, interval.positions)
+                if work.endpoint_position(e) == source
+            ]
+            if not ends:
+                break
+            moved_any = False
+            for e in (list(reversed(ends)) if direction == rc.RIGHT else ends):
+                out, moved = rc.shift(work, e, direction)
+                if moved and out.endpoint_position(e) == target:
+                    work = out
+                    moved_any = True
+                    break
+                ok = False
+                break
+            if not ok or not moved_any:
+                break
+        if ok:
+            return work
+    raise GatherBlocked(
+        f"face {face}: angles {pos_i},{pos_j} resist gathering"
+    )
+
+
+def test_gather_matches_reference_on_random_multicompletions():
+    rng = random.Random(3)
+    outcomes = {"gathered": 0, "blocked": 0}
+    for seed in range(120):
+        n = 5 + seed % 5
+        D = pog_io.gen_random(n, n - 1 + seed % (2 * n - 5), 700 + seed)
+        for f in range(D.f):
+            ivs = [iv for iv in fa.decompose_face(D, f).intervals()
+                   if len(iv) >= 2]
+            r = len(D.faces[f])
+            for _ in range(3 * len(ivs)):
+                iv = rng.choice(ivs)
+                X = rc.Multicompletion(D, [
+                    rc.MultiArc(rng.choice(iv.positions), rng.randrange(r), f)
+                    if rng.random() < 0.5 else
+                    rc.MultiArc(rng.randrange(r), rng.choice(iv.positions), f)
+                    for _ in range(rng.randrange(1, 5))])
+                # two angles with no endpoint strictly between them
+                rank = {p: t for t, p in enumerate(iv.positions)}
+                used = sorted({rank[X.endpoint_position(e)]
+                               for e in X.endpoints_on(f, iv.positions)})
+                a = rng.randrange(len(used))
+                hi = used[a + 1] if a + 1 < len(used) else len(iv) - 1
+                if hi == used[a]:
+                    continue
+                pos_i = iv.positions[used[a]]
+                pos_j = iv.positions[rng.randrange(used[a] + 1, hi + 1)]
+                before = list(X.arcs)
+                try:
+                    want = gather_reference(X, f, iv, pos_i, pos_j).arcs
+                except GatherBlocked:
+                    want = GatherBlocked
+                try:
+                    got = rc.gather(X, f, iv, pos_i, pos_j).arcs
+                except GatherBlocked:
+                    got = GatherBlocked
+                assert got == want and X.arcs == before
+                outcomes["blocked" if want is GatherBlocked else "gathered"] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_to_supported_fixed_point(simple_square):

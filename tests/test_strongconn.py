@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from orient_augment import enumerate_plane as ep
 from orient_augment import hardness as hg
 from orient_augment import plane_graph as pg
 from orient_augment import pog_io
+from orient_augment import reconfigure as rc
 from orient_augment import solvers as sv
 from orient_augment import strongconn as sc
 
@@ -432,3 +434,48 @@ def test_scc_of_arcs_matches_reference():
             assert comp == scc_of_arcs_reference(D.n, arcs)
         several += max(comp) > 0
     assert several > 500
+
+
+def is_strong_with_reference(X):
+    """Tarjan on the whole vertex set: the host's arcs plus the
+    multiset's non-loop arcs."""
+    arcs = list(X.D.arcs) + [(u, v) for u, v in X.vertex_pairs() if u != v]
+    comp = sc.scc_of_arcs(X.D.n, arcs)
+    return max(comp) == 0 if comp else True
+
+
+def test_is_strong_with_matches_whole_graph_tarjan():
+    rng = random.Random(11)
+    graphs = [D for D in ep.oriented_corpus(4) if D.m]
+    graphs += [pog_io.gen_random(n, n - 1 + s, 40 + s)
+               for n in range(4, 10) for s in range(4)]
+    seen = {True: 0, False: 0}
+    kinds = {"loop": 0, "parallel": 0, "digon": 0, "made strong": 0}
+    for D in graphs:
+        witness = sv.solve_oriented(D, 3).witness
+        for _ in range(6):
+            # a solution, or nothing, less one arc sometimes, plus random
+            # arcs and sometimes a parallel copy or a reversal of one
+            X = rc.Multicompletion.from_completion(
+                D, witness if witness and rng.random() < 0.5
+                else pg.EMPTY_COMPLETION)
+            arcs = X.arcs
+            if arcs and rng.random() < 0.3:
+                arcs.pop(rng.randrange(len(arcs)))
+            for _ in range(rng.randrange(0, 4)):
+                f = rng.randrange(D.f)
+                r = len(D.faces[f])
+                arcs.append(rc.MultiArc(rng.randrange(r), rng.randrange(r), f))
+            if arcs and rng.random() < 0.5:
+                a = rng.choice(arcs)
+                arcs.append(a if rng.random() < 0.5
+                            else rc.MultiArc(a.head_pos, a.tail_pos, a.face))
+            pairs = X.vertex_pairs()
+            kinds["loop"] += any(u == v for u, v in pairs)
+            kinds["parallel"] += len(set(pairs)) < len(pairs)
+            kinds["digon"] += any((v, u) in pairs for u, v in pairs if u != v)
+            want = is_strong_with_reference(X)
+            assert X.is_strong_with() == want
+            seen[want] += 1
+            kinds["made strong"] += want and not sc.is_strong(D)
+    assert min(seen.values()) > 100 and min(kinds.values()) > 20, (seen, kinds)

@@ -109,7 +109,7 @@ def test_construction_cost_ceiling(monkeypatch):
         for iv in dec.intervals():
             for q in range(1, 7):
                 # every support cache goes, so each call builds levels 1..q
-                D._analysis_cache.clear()
+                D._derived = None
                 reads = 0
                 sp.left_supports(D, iv, q)
                 budget = 64 * (2 ** q) * max(len(iv), 1) * (delta + 1)
