@@ -1,14 +1,11 @@
 """Enumeration of supported completions.
 
-Three kinds of list: supported completions of one face (the members the
-covering search draws arcs from), candidate lists for simple faces (small
-constant lists, from which the Monte-Carlo mode samples one member), and
-the digon-allowed variant where completions attach only to local terminal
-angles of an acyclic instance.  Every list comes from one kernel,
+Two kinds of list: the supported completions of one face, and the
+candidate lists of simple faces (small lists, from which the Monte-Carlo
+mode samples one member per trial).  Both come from one kernel,
 ``_noncrossing``: a depth-first walk over bitmasks of candidate arcs that
-keeps the Eswaran-Tarjan floor as the set grows and hands back each set
-as a row, one ``((tail dart, head dart), (u, v))`` per arc, which the
-covering search reads.
+hands back each set as a row, one ``((tail dart, head dart), (u, v))`` per
+arc, which the covering search reads.
 """
 
 from __future__ import annotations
@@ -93,19 +90,12 @@ def is_supported(
     return True
 
 
-def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
-                   bounded: bool = False) -> list[tuple]:
+def supported_rows(D: pg.PlaneDigraph, face: int, budget: int) -> list[tuple]:
     """The supported completions of the face with at most ``budget`` arcs
     that a minimum solution could restrict to, as rows, the empty one
     first: no arc whose head its tail already reaches (reroute via the
     existing dipath), no two arcs between one strong-component pair.
-    Emitted completions embed crossing-free and keep the graph oriented.
-
-    With ``bounded``, ``budget`` caps a whole solution, not just this
-    face: an arc set whose Eswaran-Tarjan floor
-    (``SccPartition.solution_floor``) exceeds it is dropped.  Each rule
-    rejects every superset of a rejected set, so they prune the recursion
-    exactly and the survivors keep their order."""
+    Emitted completions embed crossing-free and keep the graph oriented."""
     if budget <= 0:
         return [()]
     walk = D.faces[face]
@@ -150,48 +140,30 @@ def supported_rows(D: pg.PlaneDigraph, face: int, budget: int,
         return True
 
     pairs = [frozenset((label[u], label[v])) for _, _, u, v in cands]
-    return [(), *_noncrossing(D, walk, cands, pairs, budget, bounded,
-                              supported)]
+    return [(), *_noncrossing(walk, cands, pairs, budget, supported)]
 
 
 def _noncrossing(
-    D: pg.PlaneDigraph,
     walk: tuple[int, ...],
     cands: list[tuple[int, int, int, int]],
     pair: Sequence[Hashable],
     budget: int,
-    bounded: bool,
-    accept: Optional[Callable[[list[int]], bool]] = None,
+    accept: Callable[[list[int]], bool],
 ) -> list[tuple]:
-    """The enumeration kernel of both modes: the sets of at most ``budget``
-    candidate arcs (positions i, j on the face ``walk``, vertices u, v)
-    that cross nowhere and hold at most one arc per pair id ``pair[x]``,
-    depth first in candidate order, that ``accept`` takes (all when None;
-    it sees rising candidate indices), as rows in candidate order.
+    """The enumeration kernel: the sets of at most ``budget`` candidate
+    arcs (positions i, j on the face ``walk``, vertices u, v) that cross
+    nowhere and hold at most one arc per pair id ``pair[x]``, depth first
+    in candidate order, that ``accept`` takes (it sees rising candidate
+    indices), as rows in candidate order.
 
     A node's children are one bitmask: the later candidates no chosen one
     excludes.  A chord excludes those with one end strictly on each side of
-    it, read off per-position candidate masks, and those of its pair id.
-    With ``bounded`` a set is dropped with its supersets when its
-    Eswaran-Tarjan floor (``SccPartition.solution_floor``: its size plus
-    max(a, b), for a sources no arc of it enters and b sinks none leaves)
-    exceeds ``budget``.  An arc lowers a by one when it enters a source not
-    yet entered, so where a reaches the room left the children are masked
-    to those arcs (b likewise), and no dropped set is visited."""
-    part = scc(D)
-    comp = part.component
-    # source -> candidates entering it, sink -> those leaving it
-    into = dict.fromkeys(part.sources if bounded else (), 0)
-    out_of = dict.fromkeys(part.sinks if bounded else (), 0)
+    it, read off per-position candidate masks, and those of its pair id."""
     r = len(walk)
     row = [((walk[i], walk[j]), (u, v)) for i, j, u, v in cands]
     same: dict[Hashable, int] = {}
     at = [0] * r                                # position -> arcs ending there
-    for x, (i, j, u, v) in enumerate(cands):
-        if comp[u] != comp[v] and comp[v] in into:
-            into[comp[v]] |= 1 << x
-        if comp[u] != comp[v] and comp[u] in out_of:
-            out_of[comp[u]] |= 1 << x
+    for x, (i, j, _, _) in enumerate(cands):
         same[pair[x]] = same.get(pair[x], 0) | 1 << x
         at[i] |= 1 << x
         at[j] |= 1 << x
@@ -199,23 +171,16 @@ def _noncrossing(
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def rec(free: int, room: int, a: int, b: int, fresh_in: int,
-            fresh_out: int) -> None:
-        if a > room or b > room:
-            return
-        if a == room:
-            free &= fresh_in
-        if b == room:
-            free &= fresh_out
+    def rec(free: int, room: int) -> None:
         while free:
             low = free & -free
             free ^= low
             x = low.bit_length() - 1
             chosen.append(x)
-            if accept is None or accept(chosen):
+            if accept(chosen):
                 out.append(tuple(map(row.__getitem__, chosen)))
             if room > 1 and free:
-                i, j, u, v = cands[x]
+                i, j, _, _ = cands[x]
                 if excluded[x] is None:
                     inside = outside = 0
                     for t in range(1, (j - i) % r):
@@ -223,15 +188,10 @@ def _noncrossing(
                     for t in range(1, (i - j) % r):
                         outside |= at[(j + t) % r]
                     excluded[x] = inside & outside | same[pair[x]]
-                rec(free & ~excluded[x], room - 1,
-                    a - (fresh_in & low != 0), b - (fresh_out & low != 0),
-                    fresh_in & ~(into[comp[v]] if fresh_in & low else 0),
-                    fresh_out & ~(out_of[comp[u]] if fresh_out & low else 0))
+                rec(free & ~excluded[x], room - 1)
             chosen.pop()
 
-    # each candidate enters one component and leaves one: sums are unions
-    rec((1 << len(cands)) - 1, budget, len(into), len(out_of),
-        sum(into.values()), sum(out_of.values()))
+    rec((1 << len(cands)) - 1, budget)
     return out
 
 
@@ -264,34 +224,3 @@ def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     inside = {sub for xs in rows for r in range(1, len(xs))
               for sub in combinations(xs, r)}
     return [xs for xs in rows if xs not in inside]
-
-
-# ---------------------------------------------------------------------------
-# digon-allowed variant: completions on local terminals of acyclic faces
-# ---------------------------------------------------------------------------
-
-
-def directed_supported_rows(
-    D: pg.PlaneDigraph, face: int, budget: int
-) -> list[tuple]:
-    """Completions of an acyclic-mode face attaching only to local terminal
-    angles, as rows, the empty one first: non-crossing arc sets, digons
-    with existing arcs allowed, parallels excluded, and arcs whose head is
-    already reachable from their tail dropped (a minimum solution never
-    contains one).  ``budget`` caps a whole solution: arc sets whose
-    Eswaran-Tarjan floor exceeds it are pruned with their supersets, as in
-    ``supported_rows`` with ``bounded``.
-
-    A face with two local terminals admits at most one non-empty such
-    completion: the arc from its sink angle to its source angle.
-    """
-    dec = fa.decompose_face(D, face)
-    positions = sorted(p for t in dec.terminals for p in t.positions)
-    walk = D.faces[face]
-    ends = [(p, D.dart_vertex(walk[p])) for p in positions]
-    reached = reach(D)
-    # the vertex itself, and the head of an existing arc, are reached too
-    cands = [(i, j, u, v) for i, u in ends for j, v in ends
-             if not reached[u] >> v & 1]
-    return [(), *_noncrossing(D, walk, cands, [(u, v) for *_, u, v in cands],
-                              budget, bounded=True)]

@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import completion_enum as ce
 from . import face_analysis as fa
@@ -366,16 +365,41 @@ def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
     return range(low, min(k, room) + 1)
 
 
-# an arc of an open face's members: index of the face's list, mask of the
-# members holding it, ends, darts
-_MemberArc = namedtuple("_MemberArc", "face members ends darts")
+@pg.derived
+def _legal_arcs(D: pg.PlaneDigraph, mode: str) -> list[tuple]:
+    """The arcs the exact search draws from in ``mode``, as rows of
+    ``completion_enum`` (one ``((tail dart, head dart), (u, v))`` per
+    arc), open face by open face and row-major over positions.
+
+    An arc joins two positions of one open face, and its tail does not
+    already reach its head (``strongconn.reach``): that rules out loops,
+    parallels and arcs inside one strong component, none of which a
+    minimum solution holds (dropping one leaves the result strong).  In
+    oriented mode no arc of ``D`` joins its ends the other way either.  In
+    directed mode both ends are the first position of a local-terminal
+    run, where a minimum solution may attach all of its arcs: a run lies
+    in one component and is contiguous, so sliding an end along it
+    changes no crossing with a chord that ends outside it, and two chords
+    that end in one run then share an angle."""
+    reached = sc.reach(D)
+    nbr = D.adjacency()[1] if mode == pg.MODE_ORIENTED else [0] * D.n
+    rows = []
+    for f in fa.open_faces(D):
+        walk = D.faces[f]
+        if mode == pg.MODE_DIRECTED:
+            walk = [walk[t.start] for t in fa.decompose_face(D, f).terminals]
+        ends = [(d, D.dart_vertex(d)) for d in walk]
+        for dt, u in ends:
+            blocked = reached[u] | nbr[u]
+            rows += [((dt, dh), (u, v)) for dh, v in ends
+                     if not blocked >> v & 1]
+    return rows
 
 
 def _cover(
     D: pg.PlaneDigraph,
     levels: range,
-    arc_mode: str,
-    members: Callable[[int], list[list[tuple]]],
+    rows: list[tuple],
     stats: SolveStats,
 ) -> Optional[list[tuple[int, int]]]:
     """Minimum augmentation of a non-strong ``D`` at a budget in
@@ -384,50 +408,74 @@ def _cover(
 
     For ``b`` over ``levels`` (a prefix of ``_levels``), one covering
     search with cap ``b`` (``strongconn.cover_search``) on the component
-    DAG, over the distinct arcs of the members that ``members(b)`` lists
-    per open face as rows of ``completion_enum`` (one ``((tail dart,
-    head dart), (u, v))`` per arc; only the witness becomes a
-    ``Completion``, in the caller).  It
-    accepts a set when one member of each face holds all of its arcs
-    there and no vertex pair is joined twice (in oriented mode not even
-    reversed); members embed legally and avoid the host's arcs, so every
-    set it accepts is a legal completion.  It is exact because some
-    minimum solution is supported (``reconfigure.to_supported``,
-    acceptance criterion 6), so in each face it lies inside one member:
-    an alternating face lists every supported completion a minimum
-    solution of at most ``b`` arcs may restrict to, a simple face the
-    maximal ones.  So the first ``b`` that succeeds is the optimum; the
-    Monte-Carlo mode lists one member per simple face, and gets the
-    minimum among the solutions that lie inside them."""
+    DAG over the candidate arcs ``rows``, in the row form of
+    ``completion_enum``.  Its ``usable`` is pairwise: it rejects a second
+    arc on one unordered component pair, and a chord that crosses a chosen
+    chord of its face.  No candidate joins a vertex pair that ``D`` joins
+    against the mode, so every set it accepts embeds legally.
+
+    Over ``_legal_arcs`` it is exact.  Some minimum solution holds at most
+    one arc per unordered component pair (the pair rule, which the
+    oracle's ``pair_key`` assumes as well), so all of its arcs are
+    candidates that ``usable`` accepts next to each other; and
+    ``cover_search`` reaches every set of at most ``b`` candidates that
+    makes ``D`` strong when ``usable`` is pairwise.  So the first ``b``
+    that succeeds is the optimum.  The Monte-Carlo mode hands each simple
+    face over as one sampled member, and gets the minimum among the
+    solutions that lie inside them.
+
+    The price of exactness without member lists: exact mode is an
+    n^O(k) search with no bound per face.  The paper's face-bounded
+    2^O(k) n^O(1) route, one bounded list of members per face, lives on
+    in the Monte-Carlo mode."""
     part = sc.scc(D)
     comp = part.component
-    oriented = arc_mode == pg.MODE_ORIENTED
+    ends = [(comp[u], comp[v]) for _, (u, v) in rows]
+    pair = [(a, b) if a < b else (b, a) for a, b in ends]
+    chord = [(D.face_of_dart(dt), D._dart_pos[dt], D._dart_pos[dh])
+             for (dt, dh), _ in rows]
+
+    def usable(chosen: list[int], x: int) -> bool:
+        f, i, j = chord[x]
+        for c in chosen:
+            g, p, q = chord[c]
+            if pair[c] == pair[x] or g == f and pg.chords_cross(
+                    len(D.faces[f]), i, j, p, q):
+                return False
+        return True
+
     for b in levels:
-        arcs: list[_MemberArc] = []
-        for i, rows in enumerate(members(b)):
-            held: dict[tuple[int, int], list] = {}
-            for m, row in enumerate(rows):
-                for darts, ends in row:
-                    held.setdefault(darts, [0, ends])[0] |= 1 << m
-            arcs += [_MemberArc(i, ms, e, d) for d, (ms, e) in held.items()]
-
-        def usable(chosen: list[int], i: int) -> bool:
-            a = arcs[i]
-            inside = a.members
-            for c in map(arcs.__getitem__, chosen):
-                if c.ends == a.ends or oriented and c.ends == a.ends[::-1]:
-                    return False
-                if c.face == a.face:
-                    inside &= c.members
-            return inside != 0
-
-        found, nodes = sc.cover_search(
-            part.count, part.comp_arcs,
-            [(comp[u], comp[v]) for u, v in (a.ends for a in arcs)], b, usable)
+        found, nodes = sc.cover_search(part.count, part.comp_arcs, ends, b,
+                                       usable)
         stats.search_nodes += nodes
         if found is not None:
-            return [arcs[i].darts for i in found]
+            return [rows[x][0] for x in found]
     return None
+
+
+def _witness(D: pg.PlaneDigraph, pairs: list[tuple[int, int]],
+             mode: str) -> pg.Completion:
+    witness = D.completion_from_darts(pairs)
+    ok, diag = verify_solution(D, witness, mode)
+    if not ok:  # pragma: no cover - guarded by construction
+        raise AssertionError(f"solver produced invalid witness: {diag}")
+    return witness
+
+
+def _exact(D: pg.PlaneDigraph, k: int, mode: str,
+           stats: SolveStats) -> SolveReport:
+    """The exact mode of both solvers: ``_cover`` over ``_legal_arcs``.
+    It is deterministic, so its outcomes are budget-monotone facts about
+    the instance, kept in ``_memo`` and reused."""
+    if sc.is_strong(D):
+        return _report(mode, k, stats, pg.EMPTY_COMPLETION)
+    memo = _memo(D, mode)
+    known, witness = memo.lookup(k)
+    if not known:
+        best = _cover(D, _levels(D, k, mode), _legal_arcs(D, mode), stats)
+        witness = None if best is None else _witness(D, best, mode)
+        memo.record(k, witness)
+    return _report(mode, k, stats, witness)
 
 
 def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
@@ -438,14 +486,6 @@ def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:
     is the product of 1 / size over the min(k, len(sizes)) longest."""
     p = math.prod(1 / s for s in sorted(sizes, reverse=True)[:k])
     return -math.expm1(trials * math.log1p(-p))
-
-
-@pg.derived
-def _alternating_rows(D: pg.PlaneDigraph, b: int) -> list[list[tuple]]:
-    """Per alternating face, the members a minimum solution of at most
-    ``b`` arcs may restrict to there."""
-    return [ce.supported_rows(D, f, b, bounded=True)
-            for f in fa.alternating_faces(D)]
 
 
 def _montecarlo(
@@ -459,15 +499,18 @@ def _montecarlo(
     budget ``k``, as dart pairs, or None; a no sets
     ``stats.no_confidence``.
 
-    The exact search (``_cover``) with each simple face's candidate list
-    cut down to one member per trial: on every assignment when there are
-    no more of them than ``trials``, else on ``trials`` random ones.  The
-    budgets come from ``_levels`` once per solve; each later search is
-    capped one arc below the best found so far, and the loop stops once
-    that cap falls below their floor."""
+    The exact search (``_cover``) with each simple face's legal arcs
+    replaced by one member of its candidate list per trial: on every
+    assignment when there are no more of them than ``trials``, else on
+    ``trials`` random ones.  The budgets come from ``_levels`` once per
+    solve; each later search is capped one arc below the best found so
+    far, and the loop stops once that cap falls below their floor."""
     levels = _levels(D, k, pg.MODE_ORIENTED)
-    lists = [rows for f in fa.simple_faces(D)
+    simple = fa.simple_faces(D)
+    lists = [rows for f in simple
              if levels and (rows := ce.simple_face_rows(D, f))]
+    rest = [row for row in _legal_arcs(D, pg.MODE_ORIENTED)
+            if D.face_of_dart(row[0][0]) not in simple]
     walk = math.prod(map(len, lists)) <= trials
     if walk:
         assignments = itertools.product(*lists)
@@ -480,10 +523,9 @@ def _montecarlo(
         if cap < levels.start:
             break
         stats.trials += bool(lists)  # no simple face: nothing is sampled
-        members = lambda b: _alternating_rows(D, b) + [
-            [row] for row in assignment]
         best = _cover(D, range(levels.start, min(levels.stop, cap + 1)),
-                      pg.MODE_ORIENTED, members, stats) or best
+                      rest + [row for member in assignment for row in member],
+                      stats) or best
     if best is None:
         # a no is exact when every assignment was walked
         stats.no_confidence = 1.0 if walk else sampling_confidence(
@@ -492,7 +534,7 @@ def _montecarlo(
 
 
 # ---------------------------------------------------------------------------
-# oriented-mode branching solver
+# the two solvers
 # ---------------------------------------------------------------------------
 
 
@@ -508,12 +550,11 @@ def solve_oriented(
     Deepens the budget ``b`` from the Eswaran-Tarjan floor to ``k`` and
     stops at the first ``b`` that answers yes, so a large ``k`` costs what
     the optimum costs.  The exact mode runs, at each ``b``, one covering
-    search over the arcs of the supported completions of every open face
-    (at most ``b`` arcs in an alternating face, the candidate lists in a
-    simple face), driven by the terminal sides of the component DAG
-    (``_cover``).  With ``method="montecarlo"`` it runs the same search
-    with each simple face's list cut down to one random member per trial
-    (``_montecarlo``; a yes is always certified, a no may err).  A
+    search over the legal arcs of the open faces, driven by the terminal
+    sides of the component DAG (``_cover`` over ``_legal_arcs``).  With
+    ``method="montecarlo"`` it runs the same search with each simple
+    face's arcs cut down to one random member of its candidate list per
+    trial (``_montecarlo``; a yes is always certified, a no may err).  A
     negative ``k``, another ``method`` or fewer than one trial raise
     ``InfeasibleParameters``.
     """
@@ -526,92 +567,23 @@ def solve_oriented(
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
     stats = SolveStats(seed=seed)
+    if method == "exhaustive":
+        return _exact(D, k, pg.MODE_ORIENTED, stats)
     if sc.is_strong(D):
         return _report(pg.MODE_ORIENTED, k, stats, pg.EMPTY_COMPLETION)
-    exact = method == "exhaustive"
-    if exact:
-        # the exhaustive mode is exact and deterministic, so its outcomes
-        # are budget-monotone facts about the instance and can be reused
-        memo = _memo(D, pg.MODE_ORIENTED)
-        known, witness = memo.lookup(k)
-        if known:
-            return _report(pg.MODE_ORIENTED, k, stats, witness)
-        members = lambda b: _alternating_rows(D, b) + [
-            ce.simple_face_rows(D, f) for f in fa.simple_faces(D)]
-        best = _cover(D, _levels(D, k, pg.MODE_ORIENTED), pg.MODE_ORIENTED,
-                      members, stats)
-    else:
-        best = _montecarlo(D, k, stats,
-                           default_trials(k) if trials is None else trials,
-                           random.Random(seed))
-    witness = None
-    if best is not None:
-        witness = D.completion_from_darts(best)
-        ok, diag = verify_solution(D, witness, pg.MODE_ORIENTED)
-        if not ok:  # pragma: no cover - guarded by construction
-            raise AssertionError(f"solver produced invalid witness: {diag}")
-    if exact:
-        memo.record(k, witness)
-    return _report(pg.MODE_ORIENTED, k, stats, witness)
-
-
-# ---------------------------------------------------------------------------
-# digon-allowed branching solver
-# ---------------------------------------------------------------------------
-
-
-def _solve_directed_part(
-    part: pg.PlaneDigraph, kmax: int, stats: SolveStats
-) -> Optional[list[tuple[int, int]]]:
-    """Minimum augmentation of one loopless acyclic part, as dart pairs,
-    or None when it exceeds ``kmax``."""
-    if sc.is_strong(part):
-        return []
-    return _cover(part, _levels(part, kmax, pg.MODE_DIRECTED),
-                  pg.MODE_DIRECTED, lambda b: [
-        ce.directed_supported_rows(part, f, b)
-        for f in range(part.f)
-    ], stats)
+    best = _montecarlo(D, k, stats,
+                       default_trials(k) if trials is None else trials,
+                       random.Random(seed))
+    return _report(pg.MODE_ORIENTED, k, stats, None if best is None
+                   else _witness(D, best, pg.MODE_ORIENTED))
 
 
 def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
-    """Minimum digon-allowed augmentation within budget ``k``.
-
-    Pipeline: contract strong components (plane-preserving), split the
-    DAG-with-loops along its loops, solve each loopless part by one
-    covering search per budget over the arcs of the digon-allowed
-    completions of its faces (``_cover``), then recombine budgets and
-    lift the witness back.
-    """
+    """Minimum digon-allowed augmentation within budget ``k``: the exact
+    search of ``solve_oriented`` over the arcs between the local-terminal
+    runs of the open faces (``_legal_arcs``), digons with the arcs of
+    ``D`` allowed."""
     _check_budget(k)
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")
-    stats = SolveStats()
-    if sc.is_strong(D):
-        return _report(pg.MODE_DIRECTED, k, stats, pg.EMPTY_COMPLETION)
-    memo = _memo(D, pg.MODE_DIRECTED)
-    known, witness = memo.lookup(k)
-    if known:
-        return _report(pg.MODE_DIRECTED, k, stats, witness)
-    cond = sc.condense(D)
-    # recombine across parts and lift through the condensation
-    pairs_on_condensed: list[tuple[int, int]] = []
-    for sp_part in sc.split_loops(cond.condensed):
-        sol = _solve_directed_part(
-            sp_part.graph, k - len(pairs_on_condensed), stats
-        )
-        if sol is None:
-            memo.record(k, None)
-            return _report(pg.MODE_DIRECTED, k, stats, None)
-        back = sp_part.arc_back
-        pairs_on_condensed += [
-            (2 * back[dt >> 1] + (dt & 1), 2 * back[dh >> 1] + (dh & 1))
-            for dt, dh in sol
-        ]
-    x_c = cond.condensed.completion_from_darts(pairs_on_condensed)
-    witness = sc.lift_solution(cond, x_c)
-    ok, diag = verify_solution(D, witness, pg.MODE_DIRECTED)
-    if not ok:  # pragma: no cover - guarded by construction
-        raise AssertionError(f"directed witness failed verification: {diag}")
-    memo.record(k, witness)
-    return _report(pg.MODE_DIRECTED, k, stats, witness)
+    return _exact(D, k, pg.MODE_DIRECTED, SolveStats())

@@ -1,16 +1,12 @@
-"""Strong components, plane-preserving condensation, and loop splitting.
+"""Strong components, reachability, the covering search, and the
+plane-preserving condensation.
 
 Condensation contracts a spanning forest of every strong component (the
 one a union-find pass over the arcs in id order picks), keeping multi-arcs
 and loops (mode ``multi``).  Each merged vertex's rotation is one walk
 around its tree, clockwise at each vertex and across each contracted arc.
-Loop splitting then cuts the resulting DAG-with-loops into loopless parts:
-arcs whose ends share a sector (the innermost loop around an arc end, or
-none) go to one part.  Both steps keep original arc ids stable, so
-completion arcs expressed as angle darts lift back through them without
-translation: an angle keyed by the dart ``d`` means "insert immediately
-clockwise of arc end ``d``" in any of the graphs, and the vertex it
-attaches to is derived from the graph at hand.
+Original arc ids stay stable up to the removal of the contracted ones
+(``CondensationResult.arc_map``).
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import plane_graph as pg
-from .errors import NotASolution
 
 
 @dataclass(frozen=True)
@@ -237,14 +232,6 @@ def reach(D: pg.PlaneDigraph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _find(root: list[int], x: int) -> int:
-    """Union-find root of ``x``, halving the path on the way."""
-    while root[x] != x:
-        root[x] = root[root[x]]
-        x = root[x]
-    return x
-
-
 @dataclass
 class CondensationResult:
     original: pg.PlaneDigraph
@@ -311,91 +298,3 @@ def condense(D: pg.PlaneDigraph) -> CondensationResult:
         arc_map=arc_map,
         contraction_log=tuple(a for a in range(D.m) if contracted[a]),
     )
-
-
-def lift_solution(cond: CondensationResult, x_c: pg.Completion) -> pg.Completion:
-    """Map a completion of the condensed graph back to the original.
-
-    Completion endpoints are angle darts; dart ids translate through the
-    arc renumbering and then denote the same insertion gap in the original
-    graph, whose vertex is the pre-merge endpoint on the correct face side.
-    """
-    inv_arc = {c: o for o, c in cond.arc_map.items()}
-    pairs = []
-    for arc in x_c.arcs:
-        dt, dh = arc.tail.dart, arc.head.dart
-        pairs.append(
-            (2 * inv_arc[dt >> 1] + (dt & 1), 2 * inv_arc[dh >> 1] + (dh & 1))
-        )
-    try:
-        return cond.original.completion_from_darts(pairs)
-    except Exception as exc:  # pragma: no cover - guarded by verify upstream
-        raise NotASolution(f"lift produced invalid completion: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# loop splitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SplitPart:
-    graph: pg.PlaneDigraph
-    vertex_back: tuple[int, ...]   # part vertex -> parent vertex
-    arc_back: tuple[int, ...]      # part arc id -> parent arc id
-
-
-def _subgraph(parent: pg.PlaneDigraph, arc_ids: list[int]) -> SplitPart:
-    keep = sorted(arc_ids)
-    verts = sorted({w for a in keep for w in parent.arcs[a]})
-    vmap = {v: i for i, v in enumerate(verts)}
-    amap = {a: i for i, a in enumerate(keep)}
-    arcs = [(vmap[parent.arcs[a][0]], vmap[parent.arcs[a][1]]) for a in keep]
-    rotation = []
-    for v in verts:
-        ring = [
-            2 * amap[d >> 1] + (d & 1)
-            for d in parent.rotation[v]
-            if (d >> 1) in amap
-        ]
-        rotation.append(tuple(ring))
-    g = pg.build(len(verts), arcs, rotation, mode=pg.MODE_MULTI, outer_face=0)
-    return SplitPart(
-        graph=g, vertex_back=tuple(verts), arc_back=tuple(keep)
-    )
-
-
-def split_loops(D: pg.PlaneDigraph) -> list[SplitPart]:
-    """Split a plane DAG-with-loops into loopless plane DAG parts.
-
-    Loops at one vertex never interleave in its rotation (they would
-    cross), so one stack walk of each rotation tags every non-loop arc end
-    with its sector: the innermost loop around it, or none.  Arcs whose
-    ends share a sector lie in one part, and each part is built once,
-    ordered by its least arc id.  The parts share only loop vertices,
-    and the parent's optimum is the sum of part optima.  A loopless graph
-    is its own single part; loops alone leave none (they are strong).
-    """
-    if all(u != v for u, v in D.arcs):
-        return [SplitPart(D, tuple(range(D.n)), tuple(range(D.m)))]
-    group = list(range(D.m))
-    for ring in D.rotation:
-        open_loops = [-1]
-        first: dict[int, int] = {}      # sector -> an arc with an end in it
-        for d in ring:
-            a = d >> 1
-            u, v = D.arcs[a]
-            if u == v:
-                if open_loops[-1] == a:
-                    open_loops.pop()
-                else:
-                    open_loops.append(a)
-            elif open_loops[-1] in first:
-                group[_find(group, a)] = _find(group, first[open_loops[-1]])
-            else:
-                first[open_loops[-1]] = a
-    members: dict[int, list[int]] = {}
-    for a, (u, v) in enumerate(D.arcs):
-        if u != v:
-            members.setdefault(_find(group, a), []).append(a)
-    return [_subgraph(D, arcs) for arcs in members.values()]

@@ -61,6 +61,12 @@ def build_cycle(orientations):
     return pg.build(n, arcs, rotation)
 
 
+@pytest.fixture(scope="session")
+def cycle():
+    """``build_cycle``, for tests that orient cycles of their own."""
+    return build_cycle
+
+
 @pytest.fixture
 def alternating_octagon():
     """8-cycle with 4 local sources and 4 local sinks on each side."""

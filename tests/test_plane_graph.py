@@ -150,8 +150,10 @@ def test_corpus5_footprint():
     assert retained / len(corpus) <= 1600
 
 
-def _solve_both(D):
+def _solve_every_way(D):
+    # the Monte-Carlo mode alone reads the simple faces' candidate lists
     sv.solve_oriented(D, 3)
+    sv.solve_oriented(D, 3, method="montecarlo", trials=1, seed=0)
     sv.solve_directed(D, 3)
 
 
@@ -166,10 +168,9 @@ def _derived_calls(D):
               for f in range(D.f)]
     calls += [(f"simple_face_rows {f}", lambda f=f: ce.simple_face_rows(D, f))
               for f in fa.simple_faces(D)]
-    calls += [(f"_alternating_rows {b}", lambda b=b: sv._alternating_rows(D, b))
-              for b in range(4)]
-    calls += [(f"_memo {mode}", lambda mode=mode: sv._memo(D, mode))
-              for mode in (pg.MODE_ORIENTED, pg.MODE_DIRECTED)]
+    for mode in (pg.MODE_ORIENTED, pg.MODE_DIRECTED):
+        calls += [(f"_legal_arcs {mode}", lambda m=mode: sv._legal_arcs(D, m)),
+                  (f"_memo {mode}", lambda m=mode: sv._memo(D, m))]
     return calls
 
 
@@ -185,7 +186,7 @@ def test_fresh_graphs_have_no_derived_tables(simple_square):
 def test_derived_tables_are_kept_after_solving():
     for seed in range(1000, 1006):
         D = pog_io.gen_random(8, 11, seed)
-        _solve_both(D)
+        _solve_every_way(D)
         stored = dict(D._derived)
         # the solves stored the per-graph tables: asking again adds none
         for name, call in _derived_calls(D)[:4]:
@@ -200,9 +201,9 @@ def test_derived_tables_are_kept_after_solving():
 def test_graphs_never_share_derived_tables():
     text = pog_io.write_pog(pog_io.gen_random(8, 11, 1003))
     D, E = pog_io.parse_pog(text), pog_io.parse_pog(text)
-    _solve_both(D)
+    _solve_every_way(D)
     assert E._derived is None
-    _solve_both(E)
+    _solve_every_way(E)
     assert D._derived is not E._derived
     for (name, call), (_, other) in zip(_derived_calls(D), _derived_calls(E)):
         a, b = call(), other()
@@ -539,8 +540,8 @@ def outcome(make, *args, **kwargs):
 
 def reference_hosts():
     """The n <= 5 corpus, 48 random graphs at n = 9..16 (a third
-    directed), both planted_multi fixtures, and the condensations and split
-    parts of the last 50."""
+    directed), both planted_multi fixtures, and the condensations of the
+    last 100."""
     graphs = list(ep.oriented_corpus(5))
     for n in range(9, 17):
         for seed in range(6):
@@ -549,12 +550,7 @@ def reference_hosts():
             graphs.append(pog_io.gen_random(n, m, seed=seed, mode=mode))
     graphs += [pog_io.parse_pog(path.read_text())
                for path in sorted(DATA.glob("planted_multi_*.pog"))]
-    derived = []
-    for D in graphs[-50:]:
-        C = sc.condense(D).condensed
-        derived.append(C)
-        derived += [part.graph for part in sc.split_loops(C)]
-    return graphs + derived
+    return graphs + [sc.condense(D).condensed for D in graphs[-100:]]
 
 
 def test_build_and_parse_match_reference():

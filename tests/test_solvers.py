@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import pathlib
 import random
 
@@ -145,6 +146,79 @@ def test_verify_matches_reference_on_condensed_and_directed_hosts():
                     seen[host.mode, mode, loop, got[0]] += 1
     assert seen[pg.MODE_MULTI, pg.MODE_MULTI, True, True] > 0
     assert seen[pg.MODE_DIRECTED, pg.MODE_ORIENTED, False, True] > 0
+
+
+def legality_only_solve(D, k, mode, monkeypatch):
+    """``brute_solve`` without the pair rule: its candidates keyed by
+    vertex pair (ordered where digons are legal), so it forbids only what
+    legality forbids, not a second arc between two strong components."""
+    candidates = sv.oracle_candidates
+
+    def by_vertex_pair(D, mode):
+        return [dataclasses.replace(c, pair_key=(c.u, c.v)
+                                    if mode == pg.MODE_DIRECTED or c.u < c.v
+                                    else (c.v, c.u))
+                for c in candidates(D, mode)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sv, "oracle_candidates", by_vertex_pair)
+        return sv.brute_solve(D, k, mode=mode)
+
+
+@pytest.mark.parametrize("mode, solve", [
+    (pg.MODE_ORIENTED, sv.solve_oriented), (pg.MODE_DIRECTED, sv.solve_directed),
+])
+def test_pair_rule_keeps_the_optimum(monkeypatch, mode, solve):
+    # every engine keeps at most one arc per unordered component pair; a
+    # search that keeps any legal set finds the same optima
+    answers = collections.Counter()
+    for D in ep.oriented_corpus(5):
+        want = legality_only_solve(D, 3, mode, monkeypatch)
+        for rep in (sv.brute_solve(D, 3, mode=mode), solve(fresh(D), 3)):
+            assert (rep.verdict, rep.optimum) == (want.verdict, want.optimum)
+        answers[want.optimum] += 1
+    assert len(answers) >= 4, answers
+
+
+@pytest.mark.parametrize("mode", [pg.MODE_ORIENTED, pg.MODE_DIRECTED])
+def test_every_set_the_search_accepts_embeds_legally(monkeypatch, mode):
+    # usable is pairwise, so a set it accepts is legal when each arc and
+    # each accepted pair is: together these checks cover every set
+    seen = []
+    monkeypatch.setattr(sc, "cover_search", lambda n, arcs, cands, cap,
+                        usable: (seen.append(usable), (None, 0))[1])
+    pairs = 0
+    for D in ep.oriented_corpus(5):
+        rows = sv._legal_arcs(D, mode)
+        sv._cover(D, range(1, 2), rows, sv.SolveStats())
+        usable = seen.pop()
+        for x, (darts, ends) in enumerate(rows):
+            pg._checked_pairs(D, [darts], mode)
+            assert ends == tuple(map(D.dart_vertex, darts))
+            for y in range(x):
+                if usable([x], y):
+                    assert usable([y], x)
+                    pg._checked_pairs(D, [darts, rows[y][0]], mode)
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_directed_simple_face_unique_candidate(simple_square):
+    # a simple face offers the single arc from its sink to its source
+    D = simple_square
+    rows = sv._legal_arcs(D, pg.MODE_DIRECTED)
+    assert [ends for darts, ends in rows if D.face_of_dart(darts[0]) == 0] \
+        == [(2, 0)]
+
+
+def test_directed_octagon_counts(alternating_octagon):
+    # per face, four sink and four source runs of one vertex each: 16 arcs
+    # from a sink to a source, 12 between two sinks and 12 between two
+    # sources, and 8 from a source to a sink it does not already reach
+    D = alternating_octagon
+    rows = sv._legal_arcs(D, pg.MODE_DIRECTED)
+    assert len(rows) == len(set(darts for darts, _ in rows)) == 2 * 48
+    assert not any(D.has_arc(*ends) for _, ends in rows)
 
 
 def test_brute_strong_is_zero(triangle):
@@ -474,62 +548,79 @@ def test_report_json_counts_search_nodes():
 
 
 # (instance, k, oriented, directed), each solver's answer as (verdict,
-# optimum, sorted witness key), recorded before the exact path read its
-# members as dart/end rows instead of Completion objects
+# optimum, sorted witness key), recorded when exact mode became one
+# covering search over the legal arcs of the open faces.  The two-path
+# cycles have two simple faces, with 20,614 supported completions each at
+# length 12 and more beyond; the exact search lists none of them
 WITNESS_PINS = [
     ("octagon", 3, (False, None, None), (False, None, None)),
-    ("octagon", 4, (True, 4, [(0, 3, 8), (0, 11, 0), (1, 5, 10), (1, 13, 2)]),
+    ("octagon", 4, (True, 4, [(0, 7, 0), (0, 15, 8), (1, 1, 10), (1, 9, 2)]),
      (True, 4, [(0, 3, 0), (0, 7, 4), (0, 11, 8), (0, 15, 12)])),
     ("planted_multi_7", 3,
      (True, 3, [(3, 5, 134), (6, 18, 78), (12, 77, 144)]),
-     (True, 3, [(3, 37, 134), (6, 81, 78), (12, 77, 144)])),
+     (True, 3, [(3, 37, 134), (6, 44, 78), (12, 77, 144)])),
     ("planted_multi_12", 3, (True, 2, [(11, 66, 92), (21, 153, 126)]),
-     (True, 2, [(11, 69, 92), (21, 153, 152)])),
-    (0, 3, (True, 3, [(0, 5, 10), (0, 7, 9), (0, 9, 0)]),
+     (True, 2, [(11, 70, 92), (21, 153, 144)])),
+    (0, 3, (True, 3, [(0, 5, 10), (0, 7, 2), (0, 9, 6)]),
      (True, 3, [(0, 5, 10), (0, 7, 0), (0, 9, 0)])),
     (7, 3, (True, 3, [(0, 10, 12), (1, 19, 2), (1, 19, 4)]),
-     (True, 3, [(1, 2, 4), (1, 21, 2), (3, 13, 16)])),
+     (True, 3, [(0, 0, 12), (1, 1, 2), (1, 1, 4)])),
     (14, 3, (True, 2, [(2, 7, 18), (4, 11, 6)]), (True, 1, [(2, 7, 16)])),
-    (21, 3, (True, 3, [(1, 1, 18), (1, 5, 12), (1, 9, 12)]),
-     (True, 3, [(1, 1, 18), (1, 5, 1), (1, 9, 12)])),
-    (28, 3, (True, 3, [(1, 1, 5), (1, 5, 14), (2, 11, 2)]),
-     (True, 3, [(1, 1, 14), (1, 5, 1), (2, 11, 2)])),
+    (21, 3, (True, 3, [(1, 1, 18), (1, 5, 12), (1, 9, 5)]),
+     (True, 3, [(0, 7, 16), (1, 5, 18), (1, 9, 18)])),
+    (28, 3, (True, 3, [(1, 5, 1), (2, 11, 2), (2, 15, 11)]),
+     (True, 3, [(0, 9, 0), (1, 5, 1), (2, 11, 2)])),
     (35, 3, (False, None, None), (False, None, None)),
-    (42, 3, (False, None, None), (True, 1, [(7, 19, 10)])),
+    (42, 3, (False, None, None), (True, 1, [(4, 15, 4)])),
     (49, 3, (False, None, None), (True, 2, [(1, 11, 32), (4, 9, 4)])),
     (56, 3, (False, None, None),
      (True, 3, [(1, 1, 2), (1, 1, 8), (3, 17, 12)])),
     (63, 3, (False, None, None),
      (True, 3, [(2, 27, 2), (5, 13, 28), (6, 23, 8)])),
-    (70, 3, (True, 3, [(0, 3, 6), (0, 9, 10), (0, 11, 0)]),
-     (True, 3, [(0, 3, 6), (0, 9, 10), (0, 11, 0)])),
+    (70, 3, (True, 3, [(0, 3, 4), (0, 9, 10), (0, 11, 6)]),
+     (True, 3, [(0, 3, 0), (0, 9, 10), (0, 11, 6)])),
     (77, 3, (True, 2, [(0, 0, 12), (3, 5, 14)]),
-     (True, 2, [(2, 25, 2), (3, 5, 4)])),
+     (True, 2, [(0, 21, 12), (3, 5, 26)])),
     (84, 3, (True, 2, [(0, 4, 0), (0, 13, 4)]),
      (True, 2, [(0, 0, 4), (0, 13, 0)])),
-    (91, 3, (True, 3, [(0, 3, 4), (4, 7, 11), (4, 11, 20)]),
-     (True, 3, [(0, 5, 4), (3, 17, 6), (4, 11, 7)])),
+    (91, 3, (True, 3, [(0, 3, 4), (3, 17, 23), (4, 11, 7)]),
+     (True, 3, [(0, 0, 4), (3, 17, 13), (4, 11, 7)])),
     (98, 3, (False, None, None), (False, None, None)),
     (105, 3, (False, None, None),
      (True, 3, [(0, 0, 8), (1, 1, 6), (1, 3, 10)])),
     (112, 3, (False, None, None), (True, 1, [(4, 13, 4)])),
     (119, 3, (False, None, None), (False, None, None)),
     (126, 3, (True, 2, [(0, 7, 0), (4, 9, 11)]),
-     (True, 2, [(0, 7, 6), (4, 9, 8)])),
-    (133, 3, (False, None, None), (True, 1, [(2, 29, 4)])),
+     (True, 2, [(0, 7, 4), (4, 9, 15)])),
+    (133, 3, (False, None, None), (True, 1, [(2, 2, 4)])),
     (140, 3, (True, 3, [(0, 1, 6), (0, 3, 8), (0, 5, 10)]),
      (True, 3, [(0, 1, 6), (0, 3, 8), (0, 5, 10)])),
-    (147, 3, (True, 1, [(0, 13, 18)]), (True, 1, [(0, 13, 12)])),
+    (147, 3, (True, 1, [(0, 13, 18)]), (True, 1, [(0, 13, 0)])),
+    ("two-path 12", 3, (True, 1, [(0, 13, 0)]), (True, 1, [(0, 13, 0)])),
+    ("two-path 20", 3, (True, 1, [(0, 21, 0)]), (True, 1, [(0, 21, 0)])),
+    ("two-path 32", 3, (True, 1, [(0, 33, 0)]), (True, 1, [(0, 33, 0)])),
+    ("gen_random 14 13 1", 7,
+     (True, 6, [(0, 0, 24), (0, 3, 20), (0, 13, 16), (0, 15, 18), (0, 16, 22),
+                (0, 17, 4)]),
+     (True, 6, [(0, 0, 20), (0, 0, 24), (0, 3, 18), (0, 13, 22), (0, 15, 16),
+                (0, 17, 4)])),
+    ("gen_random 30 39 2", 8, (False, None, None), (False, None, None)),
 ]
 
 
 @pytest.mark.parametrize("name, k, oriented, directed", WITNESS_PINS)
-def test_exact_witnesses_are_pinned(alternating_octagon, random78, name, k,
-                                    oriented, directed):
+def test_exact_witnesses_are_pinned(alternating_octagon, random78, cycle, name,
+                                    k, oriented, directed):
     if name == "octagon":
         D = alternating_octagon
     elif isinstance(name, int):
         D = random78(name)
+    elif name.startswith("two-path"):
+        half = int(name.split()[1]) // 2
+        D = cycle([True] * half + [False] * half)
+    elif name.startswith("gen_random"):
+        n, m, seed = map(int, name.split()[1:])
+        D = pog_io.gen_random(n, m, seed=seed)
     else:
         D = pog_io.parse_pog((DATA / f"{name}.pog").read_text())
     for solve, pinned in ((sv.solve_oriented, oriented),

@@ -53,47 +53,6 @@ def test_condense_triangle_with_tail():
     assert len(non_loop) == 1
 
 
-def test_split_loopless_is_singleton(path3):
-    parts = sc.split_loops(path3)
-    assert len(parts) == 1
-    assert parts[0].graph is path3
-
-
-def test_split_single_loop_vertex():
-    # both sides of the loop are empty, strong and cost 0: no parts
-    D = pg.build(1, [(0, 0)], [(0, 1)], mode="multi")
-    assert sc.split_loops(D) == []
-
-
-def test_split_loop_with_inside_and_outside():
-    # loop at v=0 enclosing path 1->2, outside path 3->4
-    arcs = [(0, 0), (1, 2), (0, 1), (2, 0), (3, 4), (0, 3), (4, 0)]
-    # rotation at 0: loop tail, inside spokes, loop head, outside spokes
-    rot0 = (0, 4, 7, 1, 10, 13)
-    D = pg.build(
-        5, arcs, [rot0, (5, 2), (3, 6), (11, 8), (9, 12)], mode="multi"
-    )
-    parts = sc.split_loops(D)
-    assert len(parts) == 2
-    vertex_sets = sorted(sorted(p.vertex_back) for p in parts)
-    assert vertex_sets == [[0, 1, 2], [0, 3, 4]]
-
-
-def test_lift_solution_on_condensed_instance():
-    # digon {0,1} plus pendant arc 1->2: condensation merges the digon
-    D = pg.build(
-        3, [(0, 1), (1, 0), (1, 2)], [(0, 3), (2, 4, 1), (5,)],
-        mode="directed",
-    )
-    res = sc.condense(D)
-    rep = sv.brute_solve(res.condensed, 2, mode="directed")
-    assert rep.verdict
-    lifted = sc.lift_solution(res, rep.witness)
-    ok, diag = sv.verify_solution(D, lifted, pg.MODE_DIRECTED)
-    assert ok, diag
-    assert len(lifted.arcs) == len(rep.witness.arcs)
-
-
 def test_condense_equivalence_on_small_corpus():
     corpus = [D for D in ep.oriented_corpus(5) if D.n >= 2]
     for D in corpus[::7]:
@@ -109,21 +68,6 @@ def test_brute_positive_respects_terminal_bound():
         rep = sv.brute_solve(D, 3)
         if rep.verdict and rep.optimum > 0:
             assert sc.scc(D).terminal_count <= 2 * rep.optimum
-
-
-def test_split_conserves_arcs_and_shares_only_loop_vertices():
-    arcs = [(0, 0), (1, 2), (0, 1), (2, 0), (3, 4), (0, 3), (4, 0)]
-    rot0 = (0, 4, 7, 1, 10, 13)
-    D = pg.build(
-        5, arcs, [rot0, (5, 2), (3, 6), (11, 8), (9, 12)], mode="multi"
-    )
-    parts = sc.split_loops(D)
-    n_loops = sum(1 for u, v in D.arcs if u == v)
-    assert sum(p.graph.m for p in parts) == D.m - n_loops
-    for i, a in enumerate(parts):
-        for b in parts[i + 1 :]:
-            shared = set(a.vertex_back) & set(b.vertex_back)
-            assert shared <= {0}  # only the loop vertex
 
 
 def terminal_sides_reference(n, arcs):
@@ -282,80 +226,6 @@ def test_condense_matches_reference():
                 res.condensed.faces) == (C.n, C.arcs, C.rotation, C.faces)
         merged += C.n < D.n - 1
     assert merged > 100
-
-
-def test_split_optimum_is_sum_of_part_optima():
-    cases = 0
-    several = 0
-    for n in range(5, 12):
-        for seed in range(12):
-            for mode in ("oriented", "directed"):
-                m = n - 1 + seed % (2 * n - 4)
-                D = pog_io.gen_random(n, m, seed, mode=mode)
-                C = sc.condense(D).condensed
-                if C.n > 10 or all(u != v for u, v in C.arcs):
-                    continue
-                whole = sv.brute_solve(C, 3, mode="directed")
-                parts = [
-                    sv.brute_solve(p.graph, 3, mode="directed")
-                    for p in sc.split_loops(C)
-                ]
-                total = sum(p.optimum for p in parts if p.verdict)
-                if whole.verdict:
-                    assert all(p.verdict for p in parts)
-                    assert total == whole.optimum
-                else:
-                    assert not all(p.verdict for p in parts) or total > 3
-                cases += 1
-                several += len(parts) > 1
-    assert cases > 100 and several > 40
-
-
-def test_split_sectors_nested_and_side_by_side():
-    # vertex 0: loop 0 encloses loop 1 (around arc 2) and the path
-    # 0->2->3 <-0; loop 6 beside it encloses arc 7; arcs 8 and 12 lie
-    # outside every loop, before and after them in the rotation.  Vertex 5:
-    # loop 9 encloses arc 10, arcs 8 and 11 lie outside it.
-    arcs = [(0, 0), (0, 0), (0, 1), (0, 2), (0, 3), (2, 3), (0, 0),
-            (0, 4), (0, 5), (5, 5), (5, 6), (7, 5), (0, 8)]
-    rotation = [
-        (16, 0, 2, 4, 3, 6, 8, 1, 12, 14, 13, 24),
-        (5,), (7, 10), (9, 11), (15,), (17, 18, 20, 19, 23), (21,), (22,),
-        (25,),
-    ]
-    D = pg.build(9, arcs, rotation, mode="multi")
-    parts = sc.split_loops(D)
-    assert [p.arc_back for p in parts] == [
-        (2,), (3, 4, 5), (7,), (8, 11, 12), (10,)
-    ]
-    assert [p.vertex_back for p in parts] == [
-        (0, 1), (0, 2, 3), (0, 4), (0, 5, 7, 8), (5, 6)
-    ]
-    for p in parts:
-        assert p.graph.m == len(p.arc_back)
-        assert p.graph.euler_characteristic() == 2
-
-
-def test_split_builds_each_part_once(monkeypatch):
-    # 50 loops side by side at vertex 0, each around one pendant arc
-    arcs, ring = [], []
-    for i in range(50):
-        loop, spoke = len(arcs), len(arcs) + 1
-        arcs += [(0, 0), (0, i + 1)]
-        ring += [2 * loop, 2 * spoke, 2 * loop + 1]
-    rotation = [tuple(ring)] + [(4 * i + 3,) for i in range(50)]
-    D = pg.build(51, arcs, rotation, mode="multi")
-    calls = []
-    build = pg.build
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(pg, "build", counted)
-    parts = sc.split_loops(D)
-    assert len(parts) == len(calls) == 50
-    assert [p.arc_back for p in parts] == [(2 * i + 1,) for i in range(50)]
 
 
 def scc_of_arcs_reference(n, arcs):
