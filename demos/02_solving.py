@@ -22,8 +22,8 @@ print(report.table())
 oracle = sv.brute_solve(D, 3)
 print("\noracle:", "optimum", oracle.optimum if oracle.verdict else "> 3")
 
-# the exact solver: at each budget, one covering search over the arcs of
-# every open face's supported completions
+# the exact solver: at each budget, one covering search over the legal
+# arcs of the open faces, no two of which conflict
 for k in range(4):
     rep = sv.solve_oriented(D, k)
     print(f"solve_oriented(k={k}): {'yes' if rep.verdict else 'no'}"

@@ -2,8 +2,9 @@
 
 Any minimum solution can be slid, endpoint by endpoint, toward the local
 terminals of each face until every interval's endpoints occupy one of a
-small family of candidate angle sets (the supports).  The solver only ever
-needs to search these supported solutions.
+small family of candidate angle sets (the supports).  The Monte-Carlo mode
+samples its candidates from these supported solutions; the exact mode
+searches every legal arc.
 
 Run:
   python demos/03_reconfiguration.py

@@ -1,17 +1,16 @@
-"""Enumeration of supported completions.
+"""The legal-arc table and the enumeration of supported completions.
 
-Two kinds of list: the supported completions of one face, and the
-candidate lists of simple faces (small lists, from which the Monte-Carlo
-mode samples one member per trial).  Both come from one kernel,
-``_noncrossing``: a depth-first walk over bitmasks of candidate arcs that
-hands back each set as a row, one ``((tail dart, head dart), (u, v))`` per
-arc, which the covering search reads.
+``legal_arcs`` lists once per graph and mode the arcs a minimum solution
+may use, as rows ``((tail dart, head dart), (u, v))``, with a mask per row
+of the rows that conflict with it.  The covering search of the solvers
+reads it, and so does ``supported_sets``, which lists the supported
+completions of one face as masks over the rows; the simple faces' candidate
+lists, which the Monte-Carlo mode samples, are their maximal ones.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Optional
 
 from . import face_analysis as fa
 from . import plane_graph as pg
@@ -61,7 +60,7 @@ def catalan(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# supported completions (oriented mode)
+# legal arcs and supported completions
 # ---------------------------------------------------------------------------
 
 
@@ -90,109 +89,113 @@ def is_supported(
     return True
 
 
-def supported_rows(D: pg.PlaneDigraph, face: int, budget: int) -> list[tuple]:
-    """The supported completions of the face with at most ``budget`` arcs
-    that a minimum solution could restrict to, as rows, the empty one
-    first: no arc whose head its tail already reaches (reroute via the
-    existing dipath), no two arcs between one strong-component pair.
-    Emitted completions embed crossing-free and keep the graph oriented."""
-    if budget <= 0:
-        return [()]
-    walk = D.faces[face]
-    vert = [D.dart_vertex(d) for d in walk]
-    _, nbr = D.adjacency()
+@pg.derived
+def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list[tuple], list[int]]:
+    """The arcs a minimum solution in ``mode`` may draw from, as rows (one
+    ``((tail dart, head dart), (u, v))`` per arc), open face by open face
+    and row-major over positions; and ``conflict[x]``, the mask of the
+    rows that may not share a solution with row ``x``.
+
+    An arc joins two positions of one open face, and its tail does not
+    already reach its head (``strongconn.reach``): that rules out loops,
+    parallels and arcs inside one strong component, none of which a
+    minimum solution holds (dropping one leaves the result strong).  In
+    oriented mode no arc of ``D`` joins its ends the other way either.  In
+    directed mode both ends are the first position of a local-terminal
+    run, where a minimum solution may attach all of its arcs: a run lies
+    in one component and is contiguous, so sliding an end along it
+    changes no crossing with a chord that ends outside it, and two chords
+    that end in one run then share an angle.  Row ``y`` conflicts with
+    ``x`` when it joins the same unordered pair of strong components (the
+    pair rule; so ``x`` conflicts with itself) or crosses ``x``: it has
+    one end strictly on each side of ``x`` in their face."""
     reached = reach(D)
-    cands = []
-    for i, u in enumerate(vert):
-        # no loop, no arc beside an existing one, no arc whose head its
-        # tail already reaches
-        blocked = nbr[u] | 1 << u | reached[u]
-        for j, v in enumerate(vert):
-            if not blocked >> v & 1:
-                cands.append((i, j, u, v))
-    if not cands:
-        return [()]
-    ivs = fa.decompose_face(D, face).intervals()
+    nbr = D.adjacency()[1] if mode == pg.MODE_ORIENTED else [0] * D.n
+    comp = scc(D).component
+    rows: list[tuple] = []
+    conflict: list[int] = []
+    for f in fa.open_faces(D):
+        walk = D.faces[f]
+        r = len(walk)
+        ends = range(r) if mode == pg.MODE_ORIENTED else [
+            t.start for t in fa.decompose_face(D, f).terminals]
+        at = [0] * r                            # position -> rows ending there
+        chords = []
+        for i in ends:
+            u = D.dart_vertex(walk[i])
+            blocked = reached[u] | nbr[u]
+            for j in ends:
+                v = D.dart_vertex(walk[j])
+                if not blocked >> v & 1:
+                    at[i] |= 1 << len(rows)
+                    at[j] |= 1 << len(rows)
+                    rows.append(((walk[i], walk[j]), (u, v)))
+                    chords.append((i, j))
+        for i, j in chords:
+            inside = outside = 0
+            for t in range(1, (j - i) % r):
+                inside |= at[(i + t) % r]
+            for t in range(1, (i - j) % r):
+                outside |= at[(j + t) % r]
+            conflict.append(inside & outside)
+    pair = [frozenset((comp[u], comp[v])) for _, (u, v) in rows]
+    same: dict[frozenset, int] = {}
+    for x, p in enumerate(pair):
+        same[p] = same.get(p, 0) | 1 << x
+    return rows, [c | same[p] for c, p in zip(conflict, pair)]
+
+
+def supported_sets(D: pg.PlaneDigraph, face: int, budget: int) -> list[int]:
+    """The nonempty supported completions of the face with at most
+    ``budget`` arcs that a minimum solution could restrict to, as masks
+    over the rows of ``legal_arcs(D, "oriented")``, depth first in row
+    order: sets of the face's rows that end in the support pools of its
+    intervals and hold no two conflicting rows."""
+    rows, conflict = legal_arcs(D, pg.MODE_ORIENTED)
+    pos = D._dart_pos
+    mine = [x for x, (darts, _) in enumerate(rows)
+            if D.face_of_dart(darts[0]) == face]
+    ivs = fa.decompose_face(D, face).intervals() if mine and budget > 0 else ()
     if not ivs:
-        return [()]
-    pool: set[int] = set()
-    for iv in ivs:
-        pool |= sp.support_pool(D, iv, 2 * budget)
-    # row-major over positions, as sorted(pool) x sorted(pool) was
-    cands = [c for c in cands if c[0] in pool and c[1] in pool]
-    # a completion holds at most one arc per strong-component pair, so no
-    # parallel or digon either
-    label = scc(D).component
-    iv_at = {p: t for t, iv in enumerate(ivs) for p in iv.positions}
-    memo: dict[int, bool] = {}      # endpoint positions on one interval
+        return []
+    pool = set().union(*(sp.support_pool(D, iv, 2 * budget) for iv in ivs))
+    spans = [(iv, sum(1 << p for p in iv.positions)) for iv in ivs]
+    memo = {0: True}            # endpoint positions on one interval
+    out: list[int] = []
 
-    def supported(chosen: list[int]) -> bool:
-        on: dict[int, int] = {}     # interval index -> endpoint positions
-        for x in chosen:
-            for p in cands[x][:2]:
-                on[iv_at[p]] = on.get(iv_at[p], 0) | 1 << p
-        for t, w in on.items():
-            if w not in memo:
-                memo[w] = sp.is_supported_on_interval(
-                    D, ivs[t], [p for p in ivs[t].positions if w >> p & 1])
-            if not memo[w]:
-                return False
-        return True
-
-    pairs = [frozenset((label[u], label[v])) for _, _, u, v in cands]
-    return [(), *_noncrossing(walk, cands, pairs, budget, supported)]
-
-
-def _noncrossing(
-    walk: tuple[int, ...],
-    cands: list[tuple[int, int, int, int]],
-    pair: Sequence[Hashable],
-    budget: int,
-    accept: Callable[[list[int]], bool],
-) -> list[tuple]:
-    """The enumeration kernel: the sets of at most ``budget`` candidate
-    arcs (positions i, j on the face ``walk``, vertices u, v) that cross
-    nowhere and hold at most one arc per pair id ``pair[x]``, depth first
-    in candidate order, that ``accept`` takes (it sees rising candidate
-    indices), as rows in candidate order.
-
-    A node's children are one bitmask: the later candidates no chosen one
-    excludes.  A chord excludes those with one end strictly on each side of
-    it, read off per-position candidate masks, and those of its pair id."""
-    r = len(walk)
-    row = [((walk[i], walk[j]), (u, v)) for i, j, u, v in cands]
-    same: dict[Hashable, int] = {}
-    at = [0] * r                                # position -> arcs ending there
-    for x, (i, j, _, _) in enumerate(cands):
-        same[pair[x]] = same.get(pair[x], 0) | 1 << x
-        at[i] |= 1 << x
-        at[j] |= 1 << x
-    excluded: list[Optional[int]] = [None] * len(cands)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(free: int, room: int) -> None:
+    def rec(free: int, room: int, mask: int, at: int) -> None:
+        # at: the positions the chosen arcs end at
         while free:
             low = free & -free
             free ^= low
             x = low.bit_length() - 1
-            chosen.append(x)
-            if accept(chosen):
-                out.append(tuple(map(row.__getitem__, chosen)))
+            here = at | sum(1 << pos[d] for d in rows[x][0])
+            for iv, span in spans:
+                if (w := here & span) not in memo:
+                    memo[w] = sp.is_supported_on_interval(
+                        D, iv, [p for p in iv.positions if w >> p & 1])
+                if not memo[w]:
+                    break
+            else:
+                out.append(mask | low)
             if room > 1 and free:
-                i, j, _, _ = cands[x]
-                if excluded[x] is None:
-                    inside = outside = 0
-                    for t in range(1, (j - i) % r):
-                        inside |= at[(i + t) % r]
-                    for t in range(1, (i - j) % r):
-                        outside |= at[(j + t) % r]
-                    excluded[x] = inside & outside | same[pair[x]]
-                rec(free & ~excluded[x], room - 1)
-            chosen.pop()
+                rec(free & ~conflict[x], room - 1, mask | low, here)
 
-    rec((1 << len(cands)) - 1, budget)
+    rec(sum(1 << x for x in mine if all(pos[d] in pool for d in rows[x][0])),
+        budget, 0, 0)
     return out
+
+
+def _as_rows(D: pg.PlaneDigraph, sets: list[int]) -> list[tuple]:
+    """Masks over the oriented legal arcs as tuples of their rows."""
+    rows = legal_arcs(D, pg.MODE_ORIENTED)[0]
+    return [tuple(rows[x] for x in range(m.bit_length()) if m >> x & 1)
+            for m in sets]
+
+
+def supported_rows(D: pg.PlaneDigraph, face: int, budget: int) -> list[tuple]:
+    """``supported_sets`` as rows, the empty completion first."""
+    return _as_rows(D, [0, *supported_sets(D, face, budget)])
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +204,10 @@ def _noncrossing(
 
 
 @pg.derived
-def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
-    """Candidate completions of a simple face, as rows: the
-    inclusion-maximal supported completions with at most three arcs.
+def simple_face_sets(D: pg.PlaneDigraph, face: int) -> list[int]:
+    """Candidate completions of a simple face, as masks like those of
+    ``supported_sets``: the inclusion-maximal supported completions with
+    at most three arcs.
 
     A minimum solution restricted to the face is a supported completion of
     at most three arcs, hence a subset of some member; the covering search
@@ -211,16 +215,23 @@ def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
     maximal members loses nothing.  Every member is dominated by no other
     (adding arcs only coarsens the strong-component partition of the
     face-induced subgraph), and each dominates-or-equals every completion
-    it covers.  Domination is read off the rows, and the list is kept
+    it covers.  Domination is read off the masks, and the list is kept
     per graph."""
     dec = fa.decompose_face(D, face)
     if dec.local_terminal_count != 2:
         raise NotSimpleFace(
             f"face {face} has {dec.local_terminal_count} local terminals"
         )
-    rows = supported_rows(D, face, 3)[1:]
-    # the proper subsets of every member (at most 3 arcs: 6 each) are
-    # exactly the dominated ones; rows in candidate order compare as sets
-    inside = {sub for xs in rows for r in range(1, len(xs))
-              for sub in combinations(xs, r)}
-    return [xs for xs in rows if xs not in inside]
+    sets = supported_sets(D, face, 3)
+    # the proper subsets of every member are exactly the dominated ones
+    inside = set()
+    for m in sets:
+        sub = m
+        while sub := (sub - 1) & m:
+            inside.add(sub)
+    return [m for m in sets if m not in inside]
+
+
+def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
+    """``simple_face_sets`` as rows."""
+    return _as_rows(D, simple_face_sets(D, face))

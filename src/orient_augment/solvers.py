@@ -365,42 +365,12 @@ def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
     return range(low, min(k, room) + 1)
 
 
-@pg.derived
-def _legal_arcs(D: pg.PlaneDigraph, mode: str) -> list[tuple]:
-    """The arcs the exact search draws from in ``mode``, as rows of
-    ``completion_enum`` (one ``((tail dart, head dart), (u, v))`` per
-    arc), open face by open face and row-major over positions.
-
-    An arc joins two positions of one open face, and its tail does not
-    already reach its head (``strongconn.reach``): that rules out loops,
-    parallels and arcs inside one strong component, none of which a
-    minimum solution holds (dropping one leaves the result strong).  In
-    oriented mode no arc of ``D`` joins its ends the other way either.  In
-    directed mode both ends are the first position of a local-terminal
-    run, where a minimum solution may attach all of its arcs: a run lies
-    in one component and is contiguous, so sliding an end along it
-    changes no crossing with a chord that ends outside it, and two chords
-    that end in one run then share an angle."""
-    reached = sc.reach(D)
-    nbr = D.adjacency()[1] if mode == pg.MODE_ORIENTED else [0] * D.n
-    rows = []
-    for f in fa.open_faces(D):
-        walk = D.faces[f]
-        if mode == pg.MODE_DIRECTED:
-            walk = [walk[t.start] for t in fa.decompose_face(D, f).terminals]
-        ends = [(d, D.dart_vertex(d)) for d in walk]
-        for dt, u in ends:
-            blocked = reached[u] | nbr[u]
-            rows += [((dt, dh), (u, v)) for dh, v in ends
-                     if not blocked >> v & 1]
-    return rows
-
-
 def _cover(
     D: pg.PlaneDigraph,
     levels: range,
-    rows: list[tuple],
+    mode: str,
     stats: SolveStats,
+    barred: int = 0,
 ) -> Optional[list[tuple[int, int]]]:
     """Minimum augmentation of a non-strong ``D`` at a budget in
     ``levels``, as dart pairs, or None: the search of both solvers in
@@ -408,21 +378,20 @@ def _cover(
 
     For ``b`` over ``levels`` (a prefix of ``_levels``), one covering
     search with cap ``b`` (``strongconn.cover_search``) on the component
-    DAG over the candidate arcs ``rows``, in the row form of
-    ``completion_enum``.  Its ``usable`` is pairwise: it rejects a second
-    arc on one unordered component pair, and a chord that crosses a chosen
-    chord of its face.  No candidate joins a vertex pair that ``D`` joins
-    against the mode, so every set it accepts embeds legally.
+    DAG over the rows of ``completion_enum.legal_arcs(D, mode)`` outside
+    the mask ``barred``.  The table's conflict masks keep a chosen set to
+    one arc per unordered component pair and to chords that cross in no
+    face, and no row joins a vertex pair that ``D`` joins against the
+    mode, so every set it accepts embeds legally.
 
-    Over ``_legal_arcs`` it is exact.  Some minimum solution holds at most
+    With nothing barred it is exact.  Some minimum solution holds at most
     one arc per unordered component pair (the pair rule, which the
-    oracle's ``pair_key`` assumes as well), so all of its arcs are
-    candidates that ``usable`` accepts next to each other; and
-    ``cover_search`` reaches every set of at most ``b`` candidates that
-    makes ``D`` strong when ``usable`` is pairwise.  So the first ``b``
-    that succeeds is the optimum.  The Monte-Carlo mode hands each simple
-    face over as one sampled member, and gets the minimum among the
-    solutions that lie inside them.
+    oracle's ``pair_key`` assumes as well), so all of its arcs are rows
+    and no two of them conflict; and ``cover_search`` reaches every such
+    set of at most ``b`` rows that makes ``D`` strong.  So the first ``b``
+    that succeeds is the optimum.  The Monte-Carlo mode bars each simple
+    face's rows but those of one sampled member, and gets the minimum
+    among the solutions that lie inside them.
 
     The price of exactness without member lists: exact mode is an
     n^O(k) search with no bound per face.  The paper's face-bounded
@@ -430,23 +399,11 @@ def _cover(
     in the Monte-Carlo mode."""
     part = sc.scc(D)
     comp = part.component
+    rows, conflict = ce.legal_arcs(D, mode)
     ends = [(comp[u], comp[v]) for _, (u, v) in rows]
-    pair = [(a, b) if a < b else (b, a) for a, b in ends]
-    chord = [(D.face_of_dart(dt), D._dart_pos[dt], D._dart_pos[dh])
-             for (dt, dh), _ in rows]
-
-    def usable(chosen: list[int], x: int) -> bool:
-        f, i, j = chord[x]
-        for c in chosen:
-            g, p, q = chord[c]
-            if pair[c] == pair[x] or g == f and pg.chords_cross(
-                    len(D.faces[f]), i, j, p, q):
-                return False
-        return True
-
     for b in levels:
         found, nodes = sc.cover_search(part.count, part.comp_arcs, ends, b,
-                                       usable)
+                                       conflict, barred)
         stats.search_nodes += nodes
         if found is not None:
             return [rows[x][0] for x in found]
@@ -464,7 +421,7 @@ def _witness(D: pg.PlaneDigraph, pairs: list[tuple[int, int]],
 
 def _exact(D: pg.PlaneDigraph, k: int, mode: str,
            stats: SolveStats) -> SolveReport:
-    """The exact mode of both solvers: ``_cover`` over ``_legal_arcs``.
+    """The exact mode of both solvers: ``_cover`` over every legal arc.
     It is deterministic, so its outcomes are budget-monotone facts about
     the instance, kept in ``_memo`` and reused."""
     if sc.is_strong(D):
@@ -472,7 +429,7 @@ def _exact(D: pg.PlaneDigraph, k: int, mode: str,
     memo = _memo(D, mode)
     known, witness = memo.lookup(k)
     if not known:
-        best = _cover(D, _levels(D, k, mode), _legal_arcs(D, mode), stats)
+        best = _cover(D, _levels(D, k, mode), mode, stats)
         witness = None if best is None else _witness(D, best, mode)
         memo.record(k, witness)
     return _report(mode, k, stats, witness)
@@ -492,30 +449,34 @@ def _montecarlo(
     D: pg.PlaneDigraph,
     k: int,
     stats: SolveStats,
-    trials: int,
+    trials: Optional[int],
     rng: random.Random,
 ) -> Optional[list[tuple[int, int]]]:
     """Monte-Carlo oriented augmentation of a non-strong ``D`` within
     budget ``k``, as dart pairs, or None; a no sets
     ``stats.no_confidence``.
 
-    The exact search (``_cover``) with each simple face's legal arcs
-    replaced by one member of its candidate list per trial: on every
+    The exact search (``_cover``) with each simple face's legal arcs cut
+    down to one member of its candidate list per trial: on every
     assignment when there are no more of them than ``trials``, else on
-    ``trials`` random ones.  The budgets come from ``_levels`` once per
-    solve; each later search is capped one arc below the best found so
-    far, and the loop stops once that cap falls below their floor."""
+    ``trials`` random ones (``default_trials`` of the largest budget
+    ``_levels`` leaves when None).  The budgets come from ``_levels`` once
+    per solve; each later search is capped one arc below the best found
+    so far, and the loop stops once that cap falls below their floor."""
     levels = _levels(D, k, pg.MODE_ORIENTED)
+    k = min(k, levels.stop - 1)  # no solution is larger than the room
+    trials = trials or default_trials(k)
     simple = fa.simple_faces(D)
-    lists = [rows for f in simple
-             if levels and (rows := ce.simple_face_rows(D, f))]
-    rest = [row for row in _legal_arcs(D, pg.MODE_ORIENTED)
-            if D.face_of_dart(row[0][0]) not in simple]
+    lists = [sets for f in simple
+             if levels and (sets := ce.simple_face_sets(D, f))]
+    rows = ce.legal_arcs(D, pg.MODE_ORIENTED)[0]
+    rest = sum(1 << x for x, (darts, _) in enumerate(rows)
+               if D.face_of_dart(darts[0]) not in simple)
     walk = math.prod(map(len, lists)) <= trials
     if walk:
         assignments = itertools.product(*lists)
     else:
-        assignments = ([rng.choice(rows) for rows in lists]
+        assignments = ([rng.choice(sets) for sets in lists]
                        for _ in range(trials))
     best = None
     for assignment in assignments:
@@ -523,9 +484,9 @@ def _montecarlo(
         if cap < levels.start:
             break
         stats.trials += bool(lists)  # no simple face: nothing is sampled
+        # the members and the rest lie in distinct faces: the masks add up
         best = _cover(D, range(levels.start, min(levels.stop, cap + 1)),
-                      rest + [row for member in assignment for row in member],
-                      stats) or best
+                      pg.MODE_ORIENTED, stats, ~sum(assignment, rest)) or best
     if best is None:
         # a no is exact when every assignment was walked
         stats.no_confidence = 1.0 if walk else sampling_confidence(
@@ -551,7 +512,8 @@ def solve_oriented(
     stops at the first ``b`` that answers yes, so a large ``k`` costs what
     the optimum costs.  The exact mode runs, at each ``b``, one covering
     search over the legal arcs of the open faces, driven by the terminal
-    sides of the component DAG (``_cover`` over ``_legal_arcs``).  With
+    sides of the component DAG (``_cover`` over
+    ``completion_enum.legal_arcs``).  With
     ``method="montecarlo"`` it runs the same search with each simple
     face's arcs cut down to one random member of its candidate list per
     trial (``_montecarlo``; a yes is always certified, a no may err).  A
@@ -571,9 +533,7 @@ def solve_oriented(
         return _exact(D, k, pg.MODE_ORIENTED, stats)
     if sc.is_strong(D):
         return _report(pg.MODE_ORIENTED, k, stats, pg.EMPTY_COMPLETION)
-    best = _montecarlo(D, k, stats,
-                       default_trials(k) if trials is None else trials,
-                       random.Random(seed))
+    best = _montecarlo(D, k, stats, trials, random.Random(seed))
     return _report(pg.MODE_ORIENTED, k, stats, None if best is None
                    else _witness(D, best, pg.MODE_ORIENTED))
 
@@ -581,8 +541,8 @@ def solve_oriented(
 def solve_directed(D: pg.PlaneDigraph, k: int) -> SolveReport:
     """Minimum digon-allowed augmentation within budget ``k``: the exact
     search of ``solve_oriented`` over the arcs between the local-terminal
-    runs of the open faces (``_legal_arcs``), digons with the arcs of
-    ``D`` allowed."""
+    runs of the open faces (``completion_enum.legal_arcs``), digons with
+    the arcs of ``D`` allowed."""
     _check_budget(k)
     if not D.connected:
         raise Disconnected("solver requires a connected underlying graph")

@@ -39,21 +39,11 @@ class SccPartition:
         return terminal_sides(
             self.count, [*self.comp_arcs, *((c[u], c[v]) for u, v in ends)])
 
-    def solution_floor(self, ends=()) -> int:
-        """Eswaran-Tarjan bound: no solution containing the arcs ``ends``
-        (vertex pairs) has fewer arcs than this.  Every source component
-        needs a solution arc entering it, every sink one leaving it, and
-        one arc serves at most one of each; so the bound is ``len(ends)``
-        plus the larger count of sources no arc of ``ends`` enters and
-        sinks none leaves.  One more arc raises it by 0 or 1, so a set
-        over a budget has every superset over it too."""
-        comp = self.component
-        entered = {comp[v] for u, v in ends if comp[u] != comp[v]}
-        left = {comp[u] for u, v in ends if comp[u] != comp[v]}
-        return len(ends) + max(
-            len(self.sources) - len(entered.intersection(self.sources)),
-            len(self.sinks) - len(left.intersection(self.sinks)),
-        )
+    def solution_floor(self) -> int:
+        """Eswaran-Tarjan bound: no solution has fewer arcs than this.
+        Every source component needs a solution arc entering it, every
+        sink one leaving it, and one arc serves at most one of each."""
+        return max(len(self.sources), len(self.sinks))
 
 
 def scc_of_arcs(n: int, arcs) -> list[int]:
@@ -127,7 +117,7 @@ def terminal_sides(n: int, arcs) -> tuple[list[int], list[int]]:
     return sources, sinks
 
 
-def cover_search(n: int, arcs, cands, cap: int, usable=None):
+def cover_search(n: int, arcs, cands, cap: int, conflict=None, barred=0):
     """The first set of at most ``cap`` candidate arcs (vertex pairs) that
     makes the digraph on ``n`` vertices with ``arcs`` strongly connected,
     as candidate indices in the order they were chosen, or None; and the
@@ -138,40 +128,39 @@ def cover_search(n: int, arcs, cands, cap: int, usable=None):
     leaving each sink, and one arc serves at most one of each, so a node
     with more terminal sides on one side than the room it has left fails.
     Otherwise it branches, in index order, over the candidates that fix
-    the terminal side the fewest of them fix, among those ``usable(chosen,
-    i)`` accepts (all when None).  A candidate an earlier sibling tried is
-    skipped below the later ones: every set holding it was searched there.
-    So every set of at most ``cap`` arcs that makes the graph strong is
-    reached, provided ``usable`` accepts each of its arcs next to any
-    subset of the others; with the cap raised from a floor, the first cap
-    that succeeds is the minimum."""
+    the terminal side the fewest of them fix, among those not in the mask
+    ``barred``.  A child also bars ``conflict[i]``, the mask of the
+    candidates that may not join its arc ``i`` (none when ``conflict`` is
+    None), and a candidate an earlier sibling tried is barred below the
+    later ones: every set holding it was searched there.  So every set of at most ``cap`` unbarred, pairwise
+    conflict-free arcs that makes the graph strong is reached; with the
+    cap raised from a floor, the first cap that succeeds is the minimum."""
     chosen: list[int] = []
     nodes = 0
 
-    def search(room: int, tried: frozenset) -> bool:
+    def search(room: int, barred: int) -> bool:
         nonlocal nodes
         nodes += 1
         sources, sinks = terminal_sides(
             n, [*arcs, *(cands[i] for i in chosen)])
         if not sources or max(len(sources), len(sinks)) > room:
             return not sources
-        # a source needs an arc entering it, a sink one leaving it; usable,
-        # the dearest test, is asked only about untried arcs that fix one
+        # a source needs an arc entering it, a sink one leaving it
         for i in min(([i for i in range(len(cands))
                        if side >> cands[i][into] & 1
                        and not side >> cands[i][1 - into] & 1
-                       and i not in tried
-                       and (usable is None or usable(chosen, i))]
+                       and not barred >> i & 1]
                       for side, into in [(s, 1) for s in sources]
                       + [(s, 0) for s in sinks]), key=len):
             chosen.append(i)
-            if search(room - 1, tried):
+            if search(room - 1, barred if conflict is None
+                      else barred | conflict[i]):
                 return True
             chosen.pop()
-            tried |= {i}
+            barred |= 1 << i
         return False
 
-    return (chosen if search(cap, frozenset()) else None), nodes
+    return (chosen if search(cap, barred) else None), nodes
 
 
 @pg.derived

@@ -166,10 +166,10 @@ def _derived_calls(D):
              ("simple_faces", lambda: fa.simple_faces(D))]
     calls += [(f"decompose_face {f}", lambda f=f: fa.decompose_face(D, f))
               for f in range(D.f)]
-    calls += [(f"simple_face_rows {f}", lambda f=f: ce.simple_face_rows(D, f))
+    calls += [(f"simple_face_sets {f}", lambda f=f: ce.simple_face_sets(D, f))
               for f in fa.simple_faces(D)]
     for mode in (pg.MODE_ORIENTED, pg.MODE_DIRECTED):
-        calls += [(f"_legal_arcs {mode}", lambda m=mode: sv._legal_arcs(D, m)),
+        calls += [(f"legal_arcs {mode}", lambda m=mode: ce.legal_arcs(D, m)),
                   (f"_memo {mode}", lambda m=mode: sv._memo(D, m))]
     return calls
 

@@ -2,9 +2,11 @@ import collections
 import dataclasses
 import pathlib
 import random
+import time
 
 import pytest
 
+from orient_augment import completion_enum as ce
 from orient_augment import enumerate_plane as ep
 from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
@@ -181,32 +183,39 @@ def test_pair_rule_keeps_the_optimum(monkeypatch, mode, solve):
 
 
 @pytest.mark.parametrize("mode", [pg.MODE_ORIENTED, pg.MODE_DIRECTED])
-def test_every_set_the_search_accepts_embeds_legally(monkeypatch, mode):
-    # usable is pairwise, so a set it accepts is legal when each arc and
-    # each accepted pair is: together these checks cover every set
-    seen = []
-    monkeypatch.setattr(sc, "cover_search", lambda n, arcs, cands, cap,
-                        usable: (seen.append(usable), (None, 0))[1])
-    pairs = 0
+def test_legal_arcs_conflict_masks(mode):
+    # x conflicts with y exactly when they join one unordered component
+    # pair or cross in one face; every row and every pair of rows that do
+    # not conflict embed legally, so every conflict-free set does
+    pairs = crossing = 0
     for D in ep.oriented_corpus(5):
-        rows = sv._legal_arcs(D, mode)
-        sv._cover(D, range(1, 2), rows, sv.SolveStats())
-        usable = seen.pop()
+        rows, conflict = ce.legal_arcs(D, mode)
+        assert len(conflict) == len(rows)
+        comp = sc.scc(D).component
+        pair = [{comp[u], comp[v]} for _, (u, v) in rows]
+        chord = [(D.face_of_dart(dt), D._dart_pos[dt], D._dart_pos[dh])
+                 for (dt, dh), _ in rows]
         for x, (darts, ends) in enumerate(rows):
             pg._checked_pairs(D, [darts], mode)
             assert ends == tuple(map(D.dart_vertex, darts))
-            for y in range(x):
-                if usable([x], y):
-                    assert usable([y], x)
+            f, i, j = chord[x]
+            for y in range(len(rows)):
+                g, p, q = chord[y]
+                cross = f == g and pg.chords_cross(len(D.faces[f]), i, j, p, q)
+                assert bool(conflict[x] >> y & 1) == (
+                    pair[x] == pair[y] or cross)
+                assert conflict[x] >> y & 1 == conflict[y] >> x & 1
+                crossing += cross and pair[x] != pair[y]
+                if y < x and not conflict[x] >> y & 1:
                     pg._checked_pairs(D, [darts, rows[y][0]], mode)
                     pairs += 1
-    assert pairs > 1000
+    assert pairs > 1000 and crossing > 100
 
 
 def test_directed_simple_face_unique_candidate(simple_square):
     # a simple face offers the single arc from its sink to its source
     D = simple_square
-    rows = sv._legal_arcs(D, pg.MODE_DIRECTED)
+    rows, _ = ce.legal_arcs(D, pg.MODE_DIRECTED)
     assert [ends for darts, ends in rows if D.face_of_dart(darts[0]) == 0] \
         == [(2, 0)]
 
@@ -216,7 +225,7 @@ def test_directed_octagon_counts(alternating_octagon):
     # from a sink to a source, 12 between two sinks and 12 between two
     # sources, and 8 from a source to a sink it does not already reach
     D = alternating_octagon
-    rows = sv._legal_arcs(D, pg.MODE_DIRECTED)
+    rows, _ = ce.legal_arcs(D, pg.MODE_DIRECTED)
     assert len(rows) == len(set(darts for darts, _ in rows)) == 2 * 48
     assert not any(D.has_arc(*ends) for _, ends in rows)
 
@@ -411,6 +420,19 @@ def test_default_trials_is_exact_past_the_float_range():
     # 700^k no longer fits a float from k = 109 on
     assert isinstance(sv.default_trials(200), int)
     assert sv.default_trials(200) > sv.PINNED_SIMPLE_CANDIDATE_BOUND ** 200
+
+
+def test_montecarlo_huge_budget_is_capped_by_the_planarity_room():
+    # the default trials count the largest budget planarity leaves, not
+    # 700^k: at k = 10^8 that power alone never finished
+    D = pog_io.gen_random(10, 9, seed=375)
+    start = time.perf_counter()
+    big = sv.solve_oriented(D, 10 ** 8, method="montecarlo", seed=0)
+    assert time.perf_counter() - start < 1
+    small = sv.solve_oriented(fresh(D), 200, method="montecarlo", seed=0)
+    assert (big.verdict, big.optimum, big.stats.trials) == (
+        small.verdict, small.optimum, small.stats.trials)
+    assert big.witness.key() == small.witness.key()
 
 
 def test_exhaustive_accepts_huge_budget(alternating_square):

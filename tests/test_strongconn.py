@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orient_augment import completion_enum as ce
 from orient_augment import enumerate_plane as ep
 from orient_augment import hardness as hg
 from orient_augment import plane_graph as pg
@@ -136,19 +137,35 @@ def test_cover_search_takes_the_first_set_in_index_order():
     assert sc.cover_search(3, path + [(2, 0)], cands, 0) == ([], 1)
 
 
-def test_cover_search_keeps_to_usable_candidates():
-    path = [(0, 1), (1, 2)]
-    cands = [(2, 0), (1, 0), (2, 1)]
+@pytest.mark.parametrize("mode", [pg.MODE_ORIENTED, pg.MODE_DIRECTED])
+def test_cover_search_keeps_clear_of_barred_and_conflicting_arcs(
+        monkeypatch, mode):
+    # every node's terminal_sides call shows the candidates chosen there,
+    # by identity: none is barred, and no two of them conflict
+    sides = sc.terminal_sides
     seen = []
 
-    def usable(chosen, i):
-        seen.append((tuple(chosen), i))
-        return i != 0
+    def watched(n, arcs):
+        seen.append(arcs)
+        return sides(n, arcs)
 
-    assert sc.cover_search(3, path, cands, 1, usable)[0] is None
-    assert sc.cover_search(3, path, cands, 2, usable)[0] == [1, 2]
-    # usable is asked next to the arcs chosen so far
-    assert ((1,), 2) in seen
+    monkeypatch.setattr(sc, "terminal_sides", watched)
+    deep = 0
+    for t, D in enumerate(ep.oriented_corpus(5)):
+        part = sc.scc(D)
+        rows, conflict = ce.legal_arcs(D, mode)
+        ends = [(part.component[u], part.component[v]) for _, (u, v) in rows]
+        index = {id(e): x for x, e in enumerate(ends)}
+        barred = sum(1 << x for x in range(t % 3, len(rows), 3))
+        sc.cover_search(part.count, part.comp_arcs, ends, 3, conflict, barred)
+        for arcs in seen:
+            chosen = [index[id(e)] for e in arcs[len(part.comp_arcs):]]
+            for a, x in enumerate(chosen):
+                assert not barred >> x & 1
+                assert not any(conflict[y] >> x & 1 for y in chosen[:a])
+            deep += len(chosen) >= 2
+        seen.clear()
+    assert deep > 100
 
 
 def test_condense_keeps_faces():
