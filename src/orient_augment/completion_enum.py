@@ -1,11 +1,12 @@
 """The legal-arc table and the enumeration of supported completions.
 
 ``legal_arcs`` lists once per graph and mode the arcs a minimum solution
-may use, as rows ``((tail dart, head dart), (u, v))``, with a mask per row
-of the rows that conflict with it.  The covering search of the solvers
-reads it, and so does ``supported_sets``, which lists the supported
-completions of one face as masks over the rows; the simple faces' candidate
-lists, which the Monte-Carlo mode samples, are their maximal ones.
+may use, as rows ``((tail dart, head dart), (u, v))``, with the component
+pair of each row and a mask per row of the rows that conflict with it.
+The covering search of the solvers reads it, and so does
+``supported_sets``, which lists the supported completions of one face as
+masks over the rows; the simple faces' candidate lists, which the
+Monte-Carlo mode samples, are their maximal ones.
 """
 
 from __future__ import annotations
@@ -90,11 +91,13 @@ def is_supported(
 
 
 @pg.derived
-def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list[tuple], list[int]]:
+def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list, list, list[int]]:
     """The arcs a minimum solution in ``mode`` may draw from, as rows (one
     ``((tail dart, head dart), (u, v))`` per arc), open face by open face
-    and row-major over positions; and ``conflict[x]``, the mask of the
-    rows that may not share a solution with row ``x``.
+    and row-major over positions; ``ends[x]``, the strong components row
+    ``x`` joins, tail first, which the covering search reads; and
+    ``conflict[x]``, the mask of the rows that may not share a solution
+    with row ``x``.
 
     An arc joins two positions of one open face, and its tail does not
     already reach its head (``strongconn.reach``): that rules out loops,
@@ -117,14 +120,14 @@ def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list[tuple], list[int]]:
     for f in fa.open_faces(D):
         walk = D.faces[f]
         r = len(walk)
-        ends = range(r) if mode == pg.MODE_ORIENTED else [
+        sites = range(r) if mode == pg.MODE_ORIENTED else [
             t.start for t in fa.decompose_face(D, f).terminals]
         at = [0] * r                            # position -> rows ending there
         chords = []
-        for i in ends:
+        for i in sites:
             u = D.dart_vertex(walk[i])
             blocked = reached[u] | nbr[u]
-            for j in ends:
+            for j in sites:
                 v = D.dart_vertex(walk[j])
                 if not blocked >> v & 1:
                     at[i] |= 1 << len(rows)
@@ -138,11 +141,12 @@ def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list[tuple], list[int]]:
             for t in range(1, (i - j) % r):
                 outside |= at[(j + t) % r]
             conflict.append(inside & outside)
-    pair = [frozenset((comp[u], comp[v])) for _, (u, v) in rows]
+    ends = [(comp[u], comp[v]) for _, (u, v) in rows]
+    pair = [frozenset(e) for e in ends]
     same: dict[frozenset, int] = {}
     for x, p in enumerate(pair):
         same[p] = same.get(p, 0) | 1 << x
-    return rows, [c | same[p] for c, p in zip(conflict, pair)]
+    return rows, ends, [c | same[p] for c, p in zip(conflict, pair)]
 
 
 def supported_sets(D: pg.PlaneDigraph, face: int, budget: int) -> list[int]:
@@ -151,7 +155,7 @@ def supported_sets(D: pg.PlaneDigraph, face: int, budget: int) -> list[int]:
     over the rows of ``legal_arcs(D, "oriented")``, depth first in row
     order: sets of the face's rows that end in the support pools of its
     intervals and hold no two conflicting rows."""
-    rows, conflict = legal_arcs(D, pg.MODE_ORIENTED)
+    rows, _, conflict = legal_arcs(D, pg.MODE_ORIENTED)
     pos = D._dart_pos
     mine = [x for x, (darts, _) in enumerate(rows)
             if D.face_of_dart(darts[0]) == face]

@@ -109,8 +109,7 @@ def derived(fn):
     asked for, keyed by ``fn`` or by ``(fn, arg)``.  Graphs are immutable,
     so an entry never goes stale; it lives as long as its graph, and no
     two graphs share one.  Every later caller gets the same object, so
-    only a table meant to grow (``supports._grown``, ``solvers._memo``)
-    is ever mutated."""
+    only a table meant to grow, ``supports._grown``, is ever mutated."""
     one = fn.__code__.co_argcount == 1
 
     def table(D, arg=None):

@@ -317,45 +317,15 @@ def _report(mode: str, k: int, stats: SolveStats,
     )
 
 
-@dataclass
-class _Memo:
-    """Outcomes of exact solves of one graph.  They are budget-monotone
-    facts about the instance: the optimum with its witness once found,
-    else the largest budget answered no."""
-
-    opt: Optional[int] = None
-    witness: Optional[pg.Completion] = None
-    no_at: int = 0
-
-    def lookup(self, k: int) -> tuple[bool, Optional[pg.Completion]]:
-        """Whether an earlier solve settles budget ``k``, and the witness
-        when it settles it as yes."""
-        if self.opt is not None:
-            return True, self.witness if self.opt <= k else None
-        return k <= self.no_at, None
-
-    def record(self, k: int, witness: Optional[pg.Completion]) -> None:
-        if witness is None:
-            self.no_at = max(self.no_at, k)
-        else:
-            self.opt, self.witness = len(witness.arcs), witness
-
-
-@pg.derived
-def _memo(D: pg.PlaneDigraph, mode: str) -> _Memo:
-    return _Memo()
-
-
 def _levels(D: pg.PlaneDigraph, k: int, arc_mode: str) -> range:
     """The budgets at which a minimum solution of ``D`` may lie, smallest
-    first.  From below: the Eswaran-Tarjan floor max(#source, #sink), and
-    more than an eighth of the local terminals of the alternating faces
-    (a budget-``b`` solution leaves fewer than ``8b``).  From above: ``k``,
-    and the room planarity leaves, since ``D`` plus a solution spans at
-    most 3n - 6 vertex pairs (n - 1 when n < 3), each joined once in
-    oriented mode and at most once per direction in directed mode."""
-    low = max(sc.scc(D).solution_floor(),
-              fa.alternating_terminal_sum(D) // 8 + 1)
+    first: from the Eswaran-Tarjan floor max(#source, #sink), which the
+    paper's filter (fewer than ``8b`` local terminals on the alternating
+    faces) never exceeds, up to ``k`` and the room planarity leaves:
+    ``D`` plus a solution spans at most 3n - 6 vertex pairs (n - 1 when
+    n < 3), each joined once in oriented mode and at most once per
+    direction in directed mode."""
+    low = sc.scc(D).solution_floor()
     pairs = 3 * D.n - 6 if D.n >= 3 else D.n - 1
     ordered, nbr = D.adjacency()
     if arc_mode == pg.MODE_ORIENTED:
@@ -398,9 +368,7 @@ def _cover(
     2^O(k) n^O(1) route, one bounded list of members per face, lives on
     in the Monte-Carlo mode."""
     part = sc.scc(D)
-    comp = part.component
-    rows, conflict = ce.legal_arcs(D, mode)
-    ends = [(comp[u], comp[v]) for _, (u, v) in rows]
+    rows, ends, conflict = ce.legal_arcs(D, mode)
     for b in levels:
         found, nodes = sc.cover_search(part.count, part.comp_arcs, ends, b,
                                        conflict, barred)
@@ -421,18 +389,14 @@ def _witness(D: pg.PlaneDigraph, pairs: list[tuple[int, int]],
 
 def _exact(D: pg.PlaneDigraph, k: int, mode: str,
            stats: SolveStats) -> SolveReport:
-    """The exact mode of both solvers: ``_cover`` over every legal arc.
-    It is deterministic, so its outcomes are budget-monotone facts about
-    the instance, kept in ``_memo`` and reused."""
+    """The exact mode of both solvers: ``_cover`` over every legal arc, at
+    the budgets ``_levels`` leaves.  Every solve runs its search, so a
+    repeated solve of one graph reports the same nodes and witness."""
     if sc.is_strong(D):
         return _report(mode, k, stats, pg.EMPTY_COMPLETION)
-    memo = _memo(D, mode)
-    known, witness = memo.lookup(k)
-    if not known:
-        best = _cover(D, _levels(D, k, mode), mode, stats)
-        witness = None if best is None else _witness(D, best, mode)
-        memo.record(k, witness)
-    return _report(mode, k, stats, witness)
+    best = _cover(D, _levels(D, k, mode), mode, stats)
+    return _report(mode, k, stats,
+                   None if best is None else _witness(D, best, mode))
 
 
 def sampling_confidence(trials: int, sizes: Sequence[int], k: int) -> float:

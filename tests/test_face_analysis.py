@@ -146,7 +146,10 @@ def _open_face_graphs():
 
 def test_open_face_index_matches_full_scan():
     """The face lists read through the open-face index equal a scan of
-    every face, and every face outside the index has no local terminal."""
+    every face, and every face outside the index has no local terminal.
+    The paper's filter (fewer than 8b local terminals on the alternating
+    faces at budget b) never raises the Eswaran-Tarjan floor, which is
+    why the solvers start from that floor alone."""
     graphs = 0
     for D in _open_face_graphs():
         graphs += 1
@@ -160,6 +163,8 @@ def test_open_face_index_matches_full_scan():
                            sum(counts[f] for f in alternating))
         assert not any(counts[f] for f in set(range(D.f))
                        - set(fa.open_faces(D)))
+        if not sc.is_strong(D):
+            assert indexed[2] // 8 + 1 <= sc.scc(D).solution_floor()
     assert graphs == 891 + 48 + 2
 
 

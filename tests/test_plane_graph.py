@@ -169,8 +169,8 @@ def _derived_calls(D):
     calls += [(f"simple_face_sets {f}", lambda f=f: ce.simple_face_sets(D, f))
               for f in fa.simple_faces(D)]
     for mode in (pg.MODE_ORIENTED, pg.MODE_DIRECTED):
-        calls += [(f"legal_arcs {mode}", lambda m=mode: ce.legal_arcs(D, m)),
-                  (f"_memo {mode}", lambda m=mode: sv._memo(D, m))]
+        calls.append((f"legal_arcs {mode}",
+                      lambda m=mode: ce.legal_arcs(D, m)))
     return calls
 
 

@@ -176,7 +176,7 @@ def test_pair_rule_keeps_the_optimum(monkeypatch, mode, solve):
     answers = collections.Counter()
     for D in ep.oriented_corpus(5):
         want = legality_only_solve(D, 3, mode, monkeypatch)
-        for rep in (sv.brute_solve(D, 3, mode=mode), solve(fresh(D), 3)):
+        for rep in (sv.brute_solve(D, 3, mode=mode), solve(D, 3)):
             assert (rep.verdict, rep.optimum) == (want.verdict, want.optimum)
         answers[want.optimum] += 1
     assert len(answers) >= 4, answers
@@ -189,10 +189,11 @@ def test_legal_arcs_conflict_masks(mode):
     # not conflict embed legally, so every conflict-free set does
     pairs = crossing = 0
     for D in ep.oriented_corpus(5):
-        rows, conflict = ce.legal_arcs(D, mode)
-        assert len(conflict) == len(rows)
+        rows, ends, conflict = ce.legal_arcs(D, mode)
+        assert len(conflict) == len(ends) == len(rows)
         comp = sc.scc(D).component
-        pair = [{comp[u], comp[v]} for _, (u, v) in rows]
+        assert ends == [(comp[u], comp[v]) for _, (u, v) in rows]
+        pair = list(map(set, ends))
         chord = [(D.face_of_dart(dt), D._dart_pos[dt], D._dart_pos[dh])
                  for (dt, dh), _ in rows]
         for x, (darts, ends) in enumerate(rows):
@@ -215,7 +216,7 @@ def test_legal_arcs_conflict_masks(mode):
 def test_directed_simple_face_unique_candidate(simple_square):
     # a simple face offers the single arc from its sink to its source
     D = simple_square
-    rows, _ = ce.legal_arcs(D, pg.MODE_DIRECTED)
+    rows = ce.legal_arcs(D, pg.MODE_DIRECTED)[0]
     assert [ends for darts, ends in rows if D.face_of_dart(darts[0]) == 0] \
         == [(2, 0)]
 
@@ -225,7 +226,7 @@ def test_directed_octagon_counts(alternating_octagon):
     # from a sink to a source, 12 between two sinks and 12 between two
     # sources, and 8 from a source to a sink it does not already reach
     D = alternating_octagon
-    rows, _ = ce.legal_arcs(D, pg.MODE_DIRECTED)
+    rows = ce.legal_arcs(D, pg.MODE_DIRECTED)[0]
     assert len(rows) == len(set(darts for darts, _ in rows)) == 2 * 48
     assert not any(D.has_arc(*ends) for _, ends in rows)
 
@@ -319,11 +320,6 @@ def test_montecarlo_deterministic_per_seed():
         assert a.witness.key() == b.witness.key()
 
 
-def fresh(D):
-    """A re-parsed copy, so no memo of an earlier solve answers."""
-    return pog_io.parse_pog(pog_io.write_pog(D))
-
-
 def test_montecarlo_default_trials_stops_at_terminal_floor():
     # optimum 2 meets the Eswaran-Tarjan floor of its only branch, so no
     # further trial can improve on the first success
@@ -331,7 +327,7 @@ def test_montecarlo_default_trials_stops_at_terminal_floor():
     rep = sv.solve_oriented(D, 3, method="montecarlo", seed=1)
     assert rep.verdict and rep.optimum == 2
     assert rep.stats.trials <= 5
-    assert sv.solve_oriented(fresh(D), 3).optimum == 2
+    assert sv.solve_oriented(D, 3).optimum == 2
 
 
 def test_montecarlo_computes_levels_once(monkeypatch):
@@ -353,8 +349,8 @@ def test_montecarlo_computes_levels_once(monkeypatch):
 
 def test_montecarlo_agrees_with_exhaustive_under_default_trials(random78):
     for D in ep.oriented_corpus(5)[::27] + [random78(i) for i in range(150)]:
-        mc = sv.solve_oriented(fresh(D), 3, method="montecarlo", seed=0)
-        ex = sv.solve_oriented(fresh(D), 3)
+        mc = sv.solve_oriented(D, 3, method="montecarlo", seed=0)
+        ex = sv.solve_oriented(D, 3)
         assert (mc.verdict, mc.optimum) == (ex.verdict, ex.optimum)
 
 
@@ -365,22 +361,22 @@ def test_montecarlo_no_is_exact_when_nothing_was_sampled(alternating_square):
     assert rep.stats.no_confidence == 1.0
     # four candidate assignments, all walked since trials allow it
     D = ep.oriented_corpus(5)[42]
-    rep = sv.solve_oriented(fresh(D), 1, method="montecarlo", trials=10, seed=0)
+    rep = sv.solve_oriented(D, 1, method="montecarlo", trials=10, seed=0)
     assert not rep.verdict and rep.stats.trials == 4
     assert rep.stats.no_confidence == 1.0
-    assert not sv.solve_oriented(fresh(D), 1).verdict
+    assert not sv.solve_oriented(D, 1).verdict
 
 
 def test_montecarlo_no_confidence_when_sampled():
     D = ep.oriented_corpus(5)[42]
-    rep = sv.solve_oriented(fresh(D), 1, method="montecarlo", trials=1, seed=0)
+    rep = sv.solve_oriented(D, 1, method="montecarlo", trials=1, seed=0)
     assert not rep.verdict and rep.stats.trials == 1
     # one assignment of the two faces' candidate lists, of two members
     # each; a solution of one arc lies in one of them
     assert rep.stats.no_confidence == pytest.approx(1 / 2)
     # a yes and an exhaustive no carry no confidence
-    assert sv.solve_oriented(fresh(D), 2, method="montecarlo", seed=0).stats.no_confidence is None
-    assert sv.solve_oriented(fresh(D), 1).stats.no_confidence is None
+    assert sv.solve_oriented(D, 2, method="montecarlo", seed=0).stats.no_confidence is None
+    assert sv.solve_oriented(D, 1).stats.no_confidence is None
 
 
 def test_montecarlo_no_confidence_keeps_tiny_p():
@@ -390,7 +386,7 @@ def test_montecarlo_no_confidence_keeps_tiny_p():
     D = ep.oriented_corpus(5)[42]
     nos = 0
     for seed in range(20):
-        rep = sv.solve_oriented(fresh(D), 6, method="montecarlo", trials=1,
+        rep = sv.solve_oriented(D, 6, method="montecarlo", trials=1,
                                 seed=seed)
         if rep.verdict:
             assert rep.optimum == 2
@@ -429,7 +425,7 @@ def test_montecarlo_huge_budget_is_capped_by_the_planarity_room():
     start = time.perf_counter()
     big = sv.solve_oriented(D, 10 ** 8, method="montecarlo", seed=0)
     assert time.perf_counter() - start < 1
-    small = sv.solve_oriented(fresh(D), 200, method="montecarlo", seed=0)
+    small = sv.solve_oriented(D, 200, method="montecarlo", seed=0)
     assert (big.verdict, big.optimum, big.stats.trials) == (
         small.verdict, small.optimum, small.stats.trials)
     assert big.witness.key() == small.witness.key()
@@ -438,8 +434,8 @@ def test_montecarlo_huge_budget_is_capped_by_the_planarity_room():
 def test_exhaustive_accepts_huge_budget(alternating_square):
     # the Monte-Carlo trial count is never computed in exhaustive mode
     for D in (ep.oriented_corpus(5)[177], alternating_square):
-        big = sv.solve_oriented(fresh(D), 100000)
-        small = sv.solve_oriented(fresh(D), 3)
+        big = sv.solve_oriented(D, 100000)
+        small = sv.solve_oriented(D, 3)
         assert (big.verdict, big.optimum) == (small.verdict, small.optimum)
 
 
@@ -503,11 +499,16 @@ def test_condensation_contrast():
 @pytest.mark.parametrize("solve", [sv.solve_oriented, sv.solve_directed])
 def test_large_budget_costs_what_the_optimum_costs(alternating_octagon, solve):
     # iterative deepening stops at the optimum, so raising k past it adds
-    # no search node; each solve gets a fresh graph (no reused outcomes)
+    # no search node; no outcome is kept, so solving the same graph again
+    # runs the same search to the same witness
     at_opt = solve(alternating_octagon, 4)
-    at_large = solve(fresh(alternating_octagon), 100)
-    assert at_opt.optimum == at_large.optimum == 4
-    assert at_opt.stats.search_nodes == at_large.stats.search_nodes > 0
+    at_large = solve(alternating_octagon, 100)
+    again = solve(alternating_octagon, 4)
+    assert at_opt.optimum == at_large.optimum == again.optimum == 4
+    assert (at_opt.stats.search_nodes == at_large.stats.search_nodes
+            == again.stats.search_nodes > 0)
+    assert (at_opt.witness.key() == at_large.witness.key()
+            == again.witness.key())
     assert at_opt.stats.branches == at_large.stats.branches == 0
 
 
@@ -552,7 +553,7 @@ def test_many_open_simple_faces(name, removed, solve):
 def test_montecarlo_on_many_open_simple_faces(name, removed):
     D = pog_io.parse_pog((DATA / name).read_text())
     for seed in range(5):
-        rep = sv.solve_oriented(fresh(D), 3, method="montecarlo", trials=200,
+        rep = sv.solve_oriented(D, 3, method="montecarlo", trials=200,
                                 seed=seed)
         assert rep.verdict and rep.optimum <= removed
         ok, diag = sv.verify_solution(D, rep.witness)
@@ -647,6 +648,6 @@ def test_exact_witnesses_are_pinned(alternating_octagon, random78, cycle, name,
         D = pog_io.parse_pog((DATA / f"{name}.pog").read_text())
     for solve, pinned in ((sv.solve_oriented, oriented),
                           (sv.solve_directed, directed)):
-        rep = solve(fresh(D), k)
+        rep = solve(D, k)
         key = None if rep.witness is None else sorted(rep.witness.key())
         assert (rep.verdict, rep.optimum, key) == pinned

@@ -153,8 +153,7 @@ def test_cover_search_keeps_clear_of_barred_and_conflicting_arcs(
     deep = 0
     for t, D in enumerate(ep.oriented_corpus(5)):
         part = sc.scc(D)
-        rows, conflict = ce.legal_arcs(D, mode)
-        ends = [(part.component[u], part.component[v]) for _, (u, v) in rows]
+        rows, ends, conflict = ce.legal_arcs(D, mode)
         index = {id(e): x for x, e in enumerate(ends)}
         barred = sum(1 << x for x in range(t % 3, len(rows), 3))
         sc.cover_search(part.count, part.comp_arcs, ends, 3, conflict, barred)
