@@ -17,7 +17,7 @@ from . import face_analysis as fa
 from . import plane_graph as pg
 from . import supports as sp
 from .errors import NotSimpleFace
-from .strongconn import reach, scc
+from .strongconn import scc
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +100,21 @@ def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list, list, list[int]]:
     with row ``x``.
 
     An arc joins two positions of one open face, and its tail does not
-    already reach its head (``strongconn.reach``): that rules out loops,
-    parallels and arcs inside one strong component, none of which a
-    minimum solution holds (dropping one leaves the result strong).  In
-    oriented mode no arc of ``D`` joins its ends the other way either.  In
-    directed mode both ends are the first position of a local-terminal
-    run, where a minimum solution may attach all of its arcs: a run lies
-    in one component and is contiguous, so sliding an end along it
-    changes no crossing with a chord that ends outside it, and two chords
-    that end in one run then share an angle.  Row ``y`` conflicts with
-    ``x`` when it joins the same unordered pair of strong components (the
-    pair rule; so ``x`` conflicts with itself) or crosses ``x``: it has
-    one end strictly on each side of ``x`` in their face."""
-    reached = reach(D)
+    already reach its head (in ``scc``'s closure of the component DAG):
+    that rules out loops, parallels and arcs inside one strong component,
+    none of which a minimum solution holds (dropping one leaves the result
+    strong).  In oriented mode no arc of ``D`` joins its ends the other way
+    either.  In directed mode both ends are the first position of a
+    local-terminal run, where a minimum solution may attach all of its
+    arcs: a run lies in one component and is contiguous, so sliding an end
+    along it changes no crossing with a chord that ends outside it, and two
+    chords that end in one run then share an angle.  Row ``y`` conflicts
+    with ``x`` when it joins the same unordered pair of strong components
+    (the pair rule; so ``x`` conflicts with itself) or crosses ``x``: it
+    has one end strictly on each side of ``x`` in their face."""
     nbr = D.adjacency()[1] if mode == pg.MODE_ORIENTED else [0] * D.n
-    comp = scc(D).component
+    part = scc(D)
+    comp, reached = part.component, part.reach[0]
     rows: list[tuple] = []
     conflict: list[int] = []
     for f in fa.open_faces(D):
@@ -126,10 +126,9 @@ def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list, list, list[int]]:
         chords = []
         for i in sites:
             u = D.dart_vertex(walk[i])
-            blocked = reached[u] | nbr[u]
             for j in sites:
                 v = D.dart_vertex(walk[j])
-                if not blocked >> v & 1:
+                if not (reached[comp[u]] >> comp[v] | nbr[u] >> v) & 1:
                     at[i] |= 1 << len(rows)
                     at[j] |= 1 << len(rows)
                     rows.append(((walk[i], walk[j]), (u, v)))
@@ -190,18 +189,6 @@ def supported_sets(D: pg.PlaneDigraph, face: int, budget: int) -> list[int]:
     return out
 
 
-def _as_rows(D: pg.PlaneDigraph, sets: list[int]) -> list[tuple]:
-    """Masks over the oriented legal arcs as tuples of their rows."""
-    rows = legal_arcs(D, pg.MODE_ORIENTED)[0]
-    return [tuple(rows[x] for x in range(m.bit_length()) if m >> x & 1)
-            for m in sets]
-
-
-def supported_rows(D: pg.PlaneDigraph, face: int, budget: int) -> list[tuple]:
-    """``supported_sets`` as rows, the empty completion first."""
-    return _as_rows(D, [0, *supported_sets(D, face, budget)])
-
-
 # ---------------------------------------------------------------------------
 # simple-face candidates
 # ---------------------------------------------------------------------------
@@ -235,7 +222,3 @@ def simple_face_sets(D: pg.PlaneDigraph, face: int) -> list[int]:
             inside.add(sub)
     return [m for m in sets if m not in inside]
 
-
-def simple_face_rows(D: pg.PlaneDigraph, face: int) -> list[tuple]:
-    """``simple_face_sets`` as rows."""
-    return _as_rows(D, simple_face_sets(D, face))

@@ -2,11 +2,11 @@
 
 A dijoin of a digraph is an arc set whose reversals, added alongside the
 original arcs, make the digraph strongly connected.  The solver here is
-the exact bounded-budget covering branch ``strongconn.cover_search`` with
-the reversed arcs as candidates: while the current graph is not strong,
-some terminal component must gain an arc, and only reversals of arcs
-crossing its dicut can provide one, so branching over those arcs is
-complete.  Budgets stay tiny, which keeps the worst case ``O(m^k)``.
+the exact bounded-budget covering branch ``strongconn.cover_search`` on
+the graph's closure, with the reversed arcs as candidates: while the
+graph is not strong, some terminal class must gain an arc, and only
+reversals of arcs crossing its dicut can provide one, so branching over
+those arcs is complete.  Budgets stay tiny: the worst case is ``O(m^k)``.
 
 ``build_auxiliary`` encodes "find a minimum solution using only these
 candidate completion arcs" as a dijoin question: original arcs become
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import face_analysis as fa
 from . import plane_graph as pg
 from .errors import NonGadgetArcInY, NotACandidate, UnknownArc
-from .strongconn import cover_search, terminal_sides
+from .strongconn import closure, cover_search, sides
 
 
 @dataclass
@@ -51,7 +51,7 @@ def is_dijoin(g: Digraph, Y: Sequence[int]) -> bool:
         if not (0 <= a < len(g.arcs)):
             raise UnknownArc(f"arc id {a} out of range")
     arcs = list(g.arcs) + [(v, u) for (u, v) in (g.arcs[a] for a in Y)]
-    return terminal_sides(g.n, arcs) == ([], [])
+    return sides(*closure(g.n, arcs)) == ([], [])
 
 
 def min_dijoin_upto(
@@ -62,14 +62,15 @@ def min_dijoin_upto(
     """A minimum dijoin among subsets of ``reversible`` (all arcs when
     None), provided its size is at most ``k``; None otherwise.
 
-    Deterministic: the covering search (``strongconn.cover_search``) runs
-    with cap 0, 1, ..., ``k`` over the reversed arcs in ascending arc-id
-    order, and the witness is the first one found at the minimum cap.
+    Deterministic: ``strongconn.cover_search`` runs from one ``closure``
+    of ``g`` with cap 0, 1, ..., ``k`` over the reversed arcs in ascending
+    arc-id order, and the witness is the first one found at the minimum cap.
     """
     ids = sorted(range(len(g.arcs)) if reversible is None else set(reversible))
     reversed_arcs = [(v, u) for u, v in (g.arcs[a] for a in ids)]
+    reach = closure(g.n, g.arcs)
     for b in range(k + 1):
-        found, _ = cover_search(g.n, g.arcs, reversed_arcs, b)
+        found, _ = cover_search(reach, reversed_arcs, b)
         if found is not None:
             return [ids[i] for i in found]
     return None

@@ -347,12 +347,12 @@ def _cover(
     every mode.
 
     For ``b`` over ``levels`` (a prefix of ``_levels``), one covering
-    search with cap ``b`` (``strongconn.cover_search``) on the component
-    DAG over the rows of ``completion_enum.legal_arcs(D, mode)`` outside
-    the mask ``barred``.  The table's conflict masks keep a chosen set to
-    one arc per unordered component pair and to chords that cross in no
-    face, and no row joins a vertex pair that ``D`` joins against the
-    mode, so every set it accepts embeds legally.
+    search with cap ``b`` (``strongconn.cover_search``) from the component
+    DAG's closure over the rows of ``completion_enum.legal_arcs(D, mode)``
+    outside the mask ``barred``.  The table's conflict masks keep a chosen
+    set to one arc per unordered component pair and to chords that cross
+    in no face, and no row joins a vertex pair that ``D`` joins against
+    the mode, so every set it accepts embeds legally.
 
     With nothing barred it is exact.  Some minimum solution holds at most
     one arc per unordered component pair (the pair rule, which the
@@ -370,8 +370,7 @@ def _cover(
     part = sc.scc(D)
     rows, ends, conflict = ce.legal_arcs(D, mode)
     for b in levels:
-        found, nodes = sc.cover_search(part.count, part.comp_arcs, ends, b,
-                                       conflict, barred)
+        found, nodes = sc.cover_search(part.reach, ends, b, conflict, barred)
         stats.search_nodes += nodes
         if found is not None:
             return [rows[x][0] for x in found]

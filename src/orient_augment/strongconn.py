@@ -1,5 +1,11 @@
-"""Strong components, reachability, the covering search, and the
-plane-preserving condensation.
+"""Strong components, the reachability closure, the covering search, and
+the plane-preserving condensation.
+
+Every strong-connectivity question reads one closure: per vertex, the
+masks of the vertices it reaches and of those that reach it (``closure``),
+extended one arc at a time (``add_arc``), its source and sink classes read
+off by ``sides``.  Tarjan runs only to build one (twice per graph, in
+``scc``), never during a search.
 
 Condensation contracts a spanning forest of every strong component (the
 one a union-find pass over the arcs in id order picks), keeping multi-arcs
@@ -20,7 +26,7 @@ from . import plane_graph as pg
 class SccPartition:
     component: tuple[int, ...]          # vertex -> component id
     members: tuple[tuple[int, ...], ...]
-    comp_arcs: frozenset[tuple[int, int]]  # arcs of the component DAG
+    reach: tuple[list[int], list[int]]  # closure of the component DAG
     sources: tuple[int, ...]            # component ids
     sinks: tuple[int, ...]
 
@@ -33,11 +39,12 @@ class SccPartition:
         return len(self.sources) + len(self.sinks)
 
     def terminal_sides(self, ends=()) -> tuple[list[int], list[int]]:
-        """``terminal_sides`` of the graph plus the arcs ``ends`` (vertex
-        pairs), run on the component DAG: sides are component-id masks."""
-        c = self.component
-        return terminal_sides(
-            self.count, [*self.comp_arcs, *((c[u], c[v]) for u, v in ends)])
+        """``sides`` of the component DAG plus the arcs ``ends`` (vertex
+        pairs): component-id masks."""
+        reach, c = self.reach, self.component
+        for u, v in ends:
+            reach = add_arc(*reach, c[u], c[v])
+        return sides(*reach)
 
     def solution_floor(self) -> int:
         """Eswaran-Tarjan bound: no solution has fewer arcs than this.
@@ -95,125 +102,135 @@ def scc_of_arcs(n: int, arcs) -> list[int]:
     return comp
 
 
-def terminal_sides(n: int, arcs) -> tuple[list[int], list[int]]:
-    """Vertex bitmasks of the source components and of the sink
-    components, in component-id order; ``([], [])`` when the digraph is
-    strongly connected."""
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def closure(n: int, arcs) -> tuple[list[int], list[int]]:
+    """``(fwd, bwd)``: for each vertex, the mask of the vertices it reaches
+    and the mask of those that reach it, itself included.  One pass each
+    way over the arcs between Tarjan's components, sorted by tail: ids are
+    numbered sinks first, so every arc goes to a lower id."""
     comp = scc_of_arcs(n, arcs)
-    ncomp = max(comp) + 1 if n else 0
-    if ncomp <= 1:
+    fwd = [0] * (max(comp, default=-1) + 1)
+    for v, c in enumerate(comp):
+        fwd[c] |= 1 << v
+    bwd = fwd[:]
+    links = sorted({(comp[u], comp[v]) for u, v in arcs if comp[u] != comp[v]})
+    for cu, cv in links:
+        fwd[cu] |= fwd[cv]
+    for cu, cv in reversed(links):
+        bwd[cv] |= bwd[cu]
+    return [fwd[c] for c in comp], [bwd[c] for c in comp]
+
+
+def add_arc(fwd: list[int], bwd: list[int], u: int, v: int
+            ) -> tuple[list[int], list[int]]:
+    """The closure after adding the arc ``(u, v)``, as new lists (the same
+    ones when ``u`` already reaches ``v``): everything that reaches ``u``
+    now reaches everything ``v`` reaches."""
+    if fwd[u] >> v & 1:
+        return fwd, bwd
+    ahead, behind = fwd[v], bwd[u]
+    return ([f | ahead if behind >> w & 1 else f for w, f in enumerate(fwd)],
+            [b | behind if ahead >> w & 1 else b for w, b in enumerate(bwd)])
+
+
+def sides(fwd: list[int], bwd: list[int]) -> tuple[list[int], list[int]]:
+    """Vertex masks of the source classes (nothing outside reaches them)
+    and of the sink classes (they reach nothing outside), ordered by their
+    lowest vertex; ``([], [])`` when the closure is strongly connected."""
+    classes = {f & b: (f, b) for f, b in zip(fwd, bwd)}
+    if len(classes) <= 1:
         return [], []
-    has_in = [False] * ncomp
-    has_out = [False] * ncomp
-    for u, v in arcs:
-        if comp[u] != comp[v]:
-            has_out[comp[u]] = True
-            has_in[comp[v]] = True
-    masks = [0] * ncomp
-    for v in range(n):
-        masks[comp[v]] |= 1 << v
-    sources = [masks[c] for c in range(ncomp) if not has_in[c]]
-    sinks = [masks[c] for c in range(ncomp) if not has_out[c]]
-    return sources, sinks
+    return ([c for c, (_, b) in classes.items() if b == c],
+            [c for c, (f, _) in classes.items() if f == c])
 
 
-def cover_search(n: int, arcs, cands, cap: int, conflict=None, barred=0):
+def cover_search(reach, cands, cap: int, conflict=None, barred=0):
     """The first set of at most ``cap`` candidate arcs (vertex pairs) that
-    makes the digraph on ``n`` vertices with ``arcs`` strongly connected,
-    as candidate indices in the order they were chosen, or None; and the
+    makes the digraph with the closure ``reach`` strongly connected, as
+    candidate indices in the order they were chosen, or None; and the
     number of search nodes it took.
 
     Covering branch (Eswaran & Tarjan, SIAM J. Comput. 1976): a graph that
-    is not strong needs an arc entering each source component and one
-    leaving each sink, and one arc serves at most one of each, so a node
-    with more terminal sides on one side than the room it has left fails.
+    is not strong needs an arc entering each source class and one leaving
+    each sink, and one arc serves at most one of each, so a node with more
+    terminal sides on one side than the room it has left fails.
     Otherwise it branches, in index order, over the candidates that fix
     the terminal side the fewest of them fix, among those not in the mask
-    ``barred``.  A child also bars ``conflict[i]``, the mask of the
+    ``barred``.  A child extends its parent's closure by its arc
+    (``add_arc``) and also bars ``conflict[i]``, the mask of the
     candidates that may not join its arc ``i`` (none when ``conflict`` is
     None), and a candidate an earlier sibling tried is barred below the
-    later ones: every set holding it was searched there.  So every set of at most ``cap`` unbarred, pairwise
-    conflict-free arcs that makes the graph strong is reached; with the
-    cap raised from a floor, the first cap that succeeds is the minimum."""
+    later ones: every set holding it was searched there.  So every set of
+    at most ``cap`` unbarred, pairwise conflict-free arcs that makes the
+    graph strong is reached; with the cap raised from a floor, the first
+    cap that succeeds is the minimum."""
+    heads = [0] * len(reach[0])
+    tails = heads[:]
+    for i, (u, v) in enumerate(cands):
+        tails[u] |= 1 << i
+        heads[v] |= 1 << i
     chosen: list[int] = []
     nodes = 0
 
-    def search(room: int, barred: int) -> bool:
+    def fixing(side: int, inner: list[int], outer: list[int], barred: int):
+        # the unbarred candidates with their ``inner`` end in ``side`` and
+        # their other end outside it: a source is entered, a sink left
+        into, out = 0, barred
+        for w in _bits(side):
+            into |= inner[w]
+            out |= outer[w]
+        return into & ~out
+
+    def search(fwd, bwd, room: int, barred: int) -> bool:
         nonlocal nodes
         nodes += 1
-        sources, sinks = terminal_sides(
-            n, [*arcs, *(cands[i] for i in chosen)])
+        sources, sinks = sides(fwd, bwd)
         if not sources or max(len(sources), len(sinks)) > room:
             return not sources
-        # a source needs an arc entering it, a sink one leaving it
-        for i in min(([i for i in range(len(cands))
-                       if side >> cands[i][into] & 1
-                       and not side >> cands[i][1 - into] & 1
-                       and not barred >> i & 1]
-                      for side, into in [(s, 1) for s in sources]
-                      + [(s, 0) for s in sinks]), key=len):
+        for i in _bits(min([fixing(s, heads, tails, barred) for s in sources]
+                           + [fixing(s, tails, heads, barred) for s in sinks],
+                           key=int.bit_count)):
             chosen.append(i)
-            if search(room - 1, barred if conflict is None
-                      else barred | conflict[i]):
+            if search(*add_arc(fwd, bwd, *cands[i]), room - 1,
+                      barred if conflict is None else barred | conflict[i]):
                 return True
             chosen.pop()
             barred |= 1 << i
         return False
 
-    return (chosen if search(cap, barred) else None), nodes
+    return (chosen if search(*reach, cap, barred) else None), nodes
 
 
 @pg.derived
 def scc(D: pg.PlaneDigraph) -> SccPartition:
-    """Strong components with terminal (source/sink) flags.
-
-    A graph with one component has no terminals.
-    """
+    """Strong components, the closure of their DAG (``closure``, over
+    component ids) and its source and sink components, which a graph with
+    one component lacks."""
     comp = scc_of_arcs(D.n, D.arcs)
-    ncomp = max(comp) + 1 if comp else 0
-    members: list[list[int]] = [[] for _ in range(ncomp)]
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
     for v, c in enumerate(comp):
         members[c].append(v)
-    comp_arcs = set()
-    for u, v in D.arcs:
-        cu, cv = comp[u], comp[v]
-        if cu != cv:
-            comp_arcs.add((cu, cv))
-    if ncomp <= 1:
-        sources: tuple[int, ...] = ()
-        sinks: tuple[int, ...] = ()
-    else:
-        has_in = set(cv for _, cv in comp_arcs)
-        has_out = set(cu for cu, _ in comp_arcs)
-        sources = tuple(c for c in range(ncomp) if c not in has_in)
-        sinks = tuple(c for c in range(ncomp) if c not in has_out)
+    reach = closure(len(members), {(comp[u], comp[v]) for u, v in D.arcs
+                                   if comp[u] != comp[v]})
+    sources, sinks = sides(*reach)
     return SccPartition(
         component=tuple(comp),
         members=tuple(tuple(ms) for ms in members),
-        comp_arcs=frozenset(comp_arcs),
-        sources=sources,
-        sinks=sinks,
+        reach=reach,
+        sources=tuple(m.bit_length() - 1 for m in sources),
+        sinks=tuple(m.bit_length() - 1 for m in sinks),
     )
 
 
 def is_strong(D: pg.PlaneDigraph) -> bool:
     return scc(D).count <= 1
-
-
-@pg.derived
-def reach(D: pg.PlaneDigraph) -> list[int]:
-    """Bitmask of the vertices each vertex reaches, itself included, in one
-    pass over the condensation: component ids are numbered sinks first, so
-    every successor of a component is final before the component is."""
-    part = scc(D)
-    creach = [sum(1 << v for v in ms) for ms in part.members]
-    succ: list[list[int]] = [[] for _ in creach]
-    for cu, cv in part.comp_arcs:
-        succ[cu].append(cv)
-    for c, targets in enumerate(succ):
-        for t in targets:
-            creach[c] |= creach[t]
-    return [creach[c] for c in part.component]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from orient_augment import reconfigure as rc
 from orient_augment import solvers as sv
 from orient_augment import strongconn as sc
 
+from rowview import simple_face_rows
+
 MINUTES_BUDGET = 15 * 60
 
 
@@ -395,7 +397,7 @@ def test_criterion_8_dijoin_correctness(corpus, brute_oriented):
             continue
         allowed = {}
         for f in sfaces[:2]:
-            rows = ce.simple_face_rows(D, f)
+            rows = simple_face_rows(D, f)
             if rows:
                 allowed[f] = D.completion_from_darts(
                     [d for d, _ in rows[0]])
@@ -449,7 +451,7 @@ def test_pinned_candidate_constant(corpus):
     worst = 0
     for D in corpus[::3]:
         for f in fa.simple_faces(D):
-            worst = max(worst, len(ce.simple_face_rows(D, f)))
+            worst = max(worst, len(simple_face_rows(D, f)))
     print(f"\nINFO pinned candidate bound: measured {worst} <= "
           f"{sv.PINNED_SIMPLE_CANDIDATE_BOUND}")
     assert worst <= sv.PINNED_SIMPLE_CANDIDATE_BOUND

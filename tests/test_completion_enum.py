@@ -12,6 +12,8 @@ from orient_augment import strongconn as sc
 from orient_augment import supports as sp
 from orient_augment.errors import NotSimpleFace
 
+from rowview import simple_face_rows, supported_rows
+
 
 def test_catalan_counts():
     assert [ce.catalan(i) for i in range(2, 7)] == [2, 5, 14, 42, 132]
@@ -72,11 +74,11 @@ def dart_set(row):
 
 
 def test_supported_zero_budget(simple_square):
-    assert ce.supported_rows(simple_square, 0, 0) == [()]
+    assert supported_rows(simple_square, 0, 0) == [()]
 
 
 def test_supported_contains_sink_to_source(simple_square):
-    rows = ce.supported_rows(simple_square, 0, 1)
+    rows = supported_rows(simple_square, 0, 1)
     pairs = {ends for row in rows for _, ends in row}
     assert (2, 0) in pairs  # sink vertex 2 to source vertex 0
 
@@ -92,13 +94,13 @@ def test_supported_enumeration_matches_brute():
                 continue
             full = list(supported_completions_reference(D, f, 2))
             assert {c.key() for c in full} == brute_supported(D, f, 2), (seed, f)
-            assert ce.supported_rows(D, f, 2) == rows_of(posthoc_minimal(D, full))
+            assert supported_rows(D, f, 2) == rows_of(posthoc_minimal(D, full))
             checked += 1
     assert checked > 20
 
 
 def test_simple_candidates_square(simple_square):
-    cands = ce.simple_face_rows(simple_square, 0)
+    cands = simple_face_rows(simple_square, 0)
     pair_sets = {frozenset(ends for _, ends in row) for row in cands}
     assert frozenset([(2, 0)]) in pair_sets
     # every candidate stays within three arcs
@@ -107,13 +109,13 @@ def test_simple_candidates_square(simple_square):
 
 def test_simple_candidates_rejects_strong_face(triangle):
     with pytest.raises(NotSimpleFace):
-        ce.simple_face_rows(triangle, 0)
+        simple_face_rows(triangle, 0)
 
 
 def test_simple_candidates_cover_all_supported(simple_square):
     # every supported nonempty completion with minimal-usable arcs embeds
     # inside some candidate
-    cands = [dart_set(row) for row in ce.simple_face_rows(simple_square, 0)]
+    cands = [dart_set(row) for row in simple_face_rows(simple_square, 0)]
     for comp in supported_completions_reference(simple_square, 0, 3):
         if not comp.arcs:
             continue
@@ -176,7 +178,7 @@ def test_minimal_only_matches_posthoc_filter():
     checked = 0
     for D in sample_graphs():
         for f in fa.simple_faces(D):
-            got = ce.simple_face_rows(D, f)
+            got = simple_face_rows(D, f)
             assert got == rows_of(simple_candidates_reference(D, f))
             checked += 1
     assert checked > 50
@@ -188,9 +190,19 @@ def test_reachability_matches_naive_closure():
         for seed in range(4):
             graphs.append(pog_io.gen_random(n, n - 1 + seed * (2 * n - 5) // 3, seed))
     for D in graphs:
-        assert sc.reach(D) == closure_reference(D)
+        want = closure_reference(D)
+        fwd, bwd = sc.closure(D.n, D.arcs)
+        assert fwd == want
+        assert bwd == [sum(1 << u for u in range(D.n) if want[u] >> v & 1)
+                       for v in range(D.n)]
+        # scc keeps the closure of the component DAG, the same relation
+        part = sc.scc(D)
+        c, (cfwd, cbwd) = part.component, part.reach
+        assert all((cfwd[c[u]] >> c[v] & 1) == (cbwd[c[v]] >> c[u] & 1)
+                   == (want[u] >> v & 1)
+                   for u in range(D.n) for v in range(D.n))
         # the one-pass closure relies on Tarjan's sinks-first numbering
-        assert all(cu > cv for cu, cv in sc.scc(D).comp_arcs)
+        assert all(c[u] >= c[v] for u, v in D.arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +223,13 @@ def supported_completions_reference(D, face, budget, minimal_only=False):
     r = len(walk)
     vert = [D.dart_vertex(d) for d in walk]
     _, nbr = D.adjacency()
-    reach = sc.reach(D) if minimal_only else None
+    part = sc.scc(D)
+    reach, comp = part.reach[0], part.component
     cands = []
     for i, u in enumerate(vert):
-        blocked = nbr[u] | 1 << u | (reach[u] if minimal_only else 0)
         for j, v in enumerate(vert):
-            if not blocked >> v & 1:
+            if not ((nbr[u] | 1 << u) >> v & 1 or
+                    minimal_only and reach[comp[u]] >> comp[v] & 1):
                 cands.append((i, j, u, v))
     pool = set()
     for iv in ivs:
@@ -273,7 +286,7 @@ def test_kernel_matches_reference_recursions():
     for D in kernel_graphs():
         for f in range(D.f):
             for b in (1, 2, 3):
-                got = ce.supported_rows(D, f, b)
+                got = supported_rows(D, f, b)
                 assert got == rows_of(
                     supported_completions_reference(D, f, b, True))
                 assert got == rows_of(posthoc_minimal(
@@ -304,10 +317,10 @@ def test_rows_round_trip_through_completions(random78):
     for D in row_graphs(random78):
         for f in range(D.f):
             for b in range(3):
-                got = ce.supported_rows(D, f, b)
+                got = supported_rows(D, f, b)
                 assert got == round_trip(D, got)
                 checked += len(got) > 1
         for f in fa.simple_faces(D):
-            got = ce.simple_face_rows(D, f)
+            got = simple_face_rows(D, f)
             assert got == round_trip(D, got)
     assert checked > 400

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from orient_augment import completion_enum as ce
 from orient_augment import dijoin as dj
 from orient_augment import face_analysis as fa
 from orient_augment import plane_graph as pg
 from orient_augment import solvers as sv
 from orient_augment import strongconn as sc
 from orient_augment.errors import NonGadgetArcInY, UnknownArc
+
+from rowview import simple_face_rows
 
 
 def test_is_dijoin_basics():
@@ -95,7 +96,7 @@ def min_dijoin_reference(g, k, reversible=None):
 
     def search(budget, chosen):
         arcs = base + [(v, u) for (u, v) in (g.arcs[a] for a in chosen)]
-        sources, sinks = sc.terminal_sides(g.n, arcs)
+        sources, sinks = sc.sides(*sc.closure(g.n, arcs))
         if not sources and not sinks:
             return list(chosen)
         if max(len(sources), len(sinks)) > budget:
@@ -140,7 +141,7 @@ def test_min_dijoin_returns_the_reference_witness():
 def candidates(D, f):
     """The simple face's candidate list, as completions."""
     return [D.completion_from_darts([d for d, _ in row])
-            for row in ce.simple_face_rows(D, f)]
+            for row in simple_face_rows(D, f)]
 
 
 def test_min_dijoin_on_gadget_arcs_returns_the_reference_witness():

@@ -114,7 +114,8 @@ def test_interval_dipath_reachability():
     # Spot-check: on dipaths, later positions are reachable from earlier
     for seed in range(20):
         D = pog_io.gen_random(7, 9, seed + 500)
-        reach = sc.reach(D)
+        part = sc.scc(D)
+        comp, reach = part.component, part.reach[0]
         for f in range(D.f):
             dec = fa.decompose_face(D, f)
             walk = D.faces[f]
@@ -130,7 +131,7 @@ def test_interval_dipath_reachability():
                     verts = list(reversed(verts))
                 for i in range(len(verts)):
                     for j in range(i + 1, len(verts)):
-                        assert (reach[verts[i]] >> verts[j]) & 1
+                        assert reach[comp[verts[i]]] >> comp[verts[j]] & 1
 
 
 def _open_face_graphs():

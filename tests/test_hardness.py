@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from orient_augment import completion_enum as ce
 from orient_augment import hardness as hg
 from orient_augment import plane_graph as pg
 from orient_augment import solvers as sv
@@ -12,6 +11,8 @@ from orient_augment.errors import (
     EmbeddingConflict,
     InvalidArity,
 )
+
+from rowview import supported_rows
 
 
 def completions_hitting(D, must_out, must_in, max_arcs=6):
@@ -127,7 +128,7 @@ def test_clause_gadget_census():
     assert all(len(D.faces[f]) == 3 for f in inner)
     # triangle faces admit no completion at all
     for f in inner[:3]:
-        assert ce.supported_rows(D, f, 1) == [()]
+        assert supported_rows(D, f, 1) == [()]
 
 
 def one_clause_formula(pols=(True, False, False)):
@@ -152,6 +153,20 @@ def test_assignment_witness_verifies():
     X = hg.assignment_to_augmentation(phi, inst, [True, True, True])
     ok, diag = sv.verify_solution(inst.graph, X)
     assert ok, diag
+
+
+def test_exact_solve_of_the_one_clause_instance(monkeypatch):
+    # n = 69, 47 strong components, floor 18: the covering search extends
+    # one closure of the component DAG, so Tarjan runs only inside scc
+    D = hg.reduce_formula(one_clause_formula()).graph
+    calls = []
+    tarjan = sc.scc_of_arcs
+    monkeypatch.setattr(sc, "scc_of_arcs",
+                        lambda *a: calls.append(a) or tarjan(*a))
+    rep = sv.solve_oriented(D, 30)
+    assert rep.optimum == 24
+    assert sv.verify_solution(D, rep.witness) == (True, "ok")
+    assert len(calls) <= 2
 
 
 def test_unsatisfying_assignment_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -92,24 +93,55 @@ def terminal_sides_reference(n, arcs):
     return sources, sinks
 
 
-def test_terminal_sides_matches_naive_closure():
-    graphs = list(ep.oriented_corpus(5))
+def closure_graphs():
+    yield from ep.oriented_corpus(5)
     for n in range(3, 17):
         for seed in range(4):
-            graphs.append(pog_io.gen_random(n, n - 1 + seed * (2 * n - 5) // 3, seed))
+            yield pog_io.gen_random(n, n - 1 + seed * (2 * n - 5) // 3, seed)
+
+
+def test_terminal_sides_matches_naive_closure():
+    # sides of the closure of D and, as component masks, scc's sources and
+    # sinks and terminal_sides with and without extra arcs
     strong = 0
-    for D in graphs:
-        sources, sinks = sc.terminal_sides(D.n, D.arcs)
-        assert (sorted(sources), sorted(sinks)) == terminal_sides_reference(D.n, D.arcs)
-        assert len(sources) == len(sc.scc(D).sources)
-        assert len(sinks) == len(sc.scc(D).sinks)
+    for D in closure_graphs():
+        want = terminal_sides_reference(D.n, D.arcs)
+        sources, sinks = sc.sides(*sc.closure(D.n, D.arcs))
+        assert (sorted(sources), sorted(sinks)) == want
+        for side in (sources, sinks):
+            assert side == sorted(side, key=lambda m: m & -m)
+        part = sc.scc(D)
+        masks = [sum(1 << v for v in ms) for ms in part.members]
+        assert (sorted(masks[c] for c in part.sources),
+                sorted(masks[c] for c in part.sinks)) == want
+        ends = [(v, (3 * v + 1) % D.n) for v in range(0, D.n, 2)]
+        got = part.terminal_sides(ends)
+        assert [sorted(sum(masks[c] for c in range(part.count) if m >> c & 1)
+                       for m in side) for side in got] == list(
+            terminal_sides_reference(D.n, [*D.arcs, *ends]))
         strong += sources == sinks == []
     assert strong > 0
 
 
 def test_terminal_sides_strong(triangle):
-    assert sc.terminal_sides(triangle.n, triangle.arcs) == ([], [])
-    assert sc.terminal_sides(1, []) == ([], [])
+    assert sc.sides(*sc.closure(triangle.n, triangle.arcs)) == ([], [])
+    assert sc.sides(*sc.closure(1, [])) == ([], [])
+    assert sc.sides([], []) == ([], [])
+
+
+def test_add_arc_extends_the_closure_arc_by_arc():
+    # from the identity, one arc at a time, equal to the closure of the
+    # arcs so far; the lists it was handed stay as they were
+    cycles = 0
+    for D in closure_graphs():
+        fwd = bwd = [1 << v for v in range(D.n)]
+        for a, (u, v) in enumerate(D.arcs):
+            before = fwd, bwd, list(fwd), list(bwd)
+            fwd, bwd = sc.add_arc(fwd, bwd, u, v)
+            assert before[:2] == before[2:]
+            assert (fwd, bwd) == sc.closure(D.n, D.arcs[:a + 1])
+            cycles += u != v and not before[2][u] >> v & 1 and fwd[v] >> u & 1
+    assert cycles > 500
 
 
 def _condense_cases():
@@ -130,41 +162,45 @@ def _canonical_walk(walk):
 def test_cover_search_takes_the_first_set_in_index_order():
     # the path 0 -> 1 -> 2: its source {0} is entered by candidates 0 and
     # 1, its sink {2} left by 0 and 2, so the search tries candidate 0
-    path = [(0, 1), (1, 2)]
+    path = sc.closure(3, [(0, 1), (1, 2)])
     cands = [(2, 0), (1, 0), (2, 1)]
-    assert sc.cover_search(3, path, cands, 1) == ([0], 2)
-    assert sc.cover_search(3, path, cands, 0) == (None, 1)
-    assert sc.cover_search(3, path + [(2, 0)], cands, 0) == ([], 1)
+    assert sc.cover_search(path, cands, 1) == ([0], 2)
+    assert sc.cover_search(path, cands, 0) == (None, 1)
+    assert sc.cover_search(sc.closure(3, [(0, 1), (1, 2), (2, 0)]), cands,
+                           0) == ([], 1)
+
+
+def _strong_with(D, pairs):
+    return max(sc.scc_of_arcs(D.n, [*D.arcs, *pairs]), default=0) == 0
 
 
 @pytest.mark.parametrize("mode", [pg.MODE_ORIENTED, pg.MODE_DIRECTED])
-def test_cover_search_keeps_clear_of_barred_and_conflicting_arcs(
-        monkeypatch, mode):
-    # every node's terminal_sides call shows the candidates chosen there,
-    # by identity: none is barred, and no two of them conflict
-    sides = sc.terminal_sides
-    seen = []
-
-    def watched(n, arcs):
-        seen.append(arcs)
-        return sides(n, arcs)
-
-    monkeypatch.setattr(sc, "terminal_sides", watched)
-    deep = 0
+def test_cover_search_keeps_clear_of_barred_and_conflicting_arcs(mode):
+    # sound: a set it returns holds no barred row and no conflicting pair,
+    # and makes D strong; complete: it returns one exactly when brute
+    # force finds such a set of at most cap rows
+    answers = {True: 0, False: 0}
     for t, D in enumerate(ep.oriented_corpus(5)):
         part = sc.scc(D)
         rows, ends, conflict = ce.legal_arcs(D, mode)
-        index = {id(e): x for x, e in enumerate(ends)}
         barred = sum(1 << x for x in range(t % 3, len(rows), 3))
-        sc.cover_search(part.count, part.comp_arcs, ends, 3, conflict, barred)
-        for arcs in seen:
-            chosen = [index[id(e)] for e in arcs[len(part.comp_arcs):]]
-            for a, x in enumerate(chosen):
-                assert not barred >> x & 1
-                assert not any(conflict[y] >> x & 1 for y in chosen[:a])
-            deep += len(chosen) >= 2
-        seen.clear()
-    assert deep > 100
+        free = [x for x in range(len(rows)) if not barred >> x & 1]
+        least = next((size for size in range(4) for xs in
+                      itertools.combinations(free, size)
+                      if not any(conflict[x] >> y & 1
+                                 for x, y in itertools.combinations(xs, 2))
+                      and _strong_with(D, [rows[x][1] for x in xs])), None)
+        for cap in (1, 2, 3):
+            got, _ = sc.cover_search(part.reach, ends, cap, conflict, barred)
+            want = least is not None and least <= cap
+            assert (got is not None) == want
+            answers[want] += 1
+            if got is not None:
+                assert not any(barred >> x & 1 for x in got)
+                assert not any(conflict[x] >> y & 1
+                               for x, y in itertools.combinations(got, 2))
+                assert _strong_with(D, [rows[x][1] for x in got])
+    assert min(answers.values()) > 100, answers
 
 
 def test_condense_keeps_faces():
