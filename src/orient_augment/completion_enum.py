@@ -105,13 +105,14 @@ def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list, list, list[int]]:
     none of which a minimum solution holds (dropping one leaves the result
     strong).  In oriented mode no arc of ``D`` joins its ends the other way
     either.  In directed mode both ends are the first position of a
-    local-terminal run, where a minimum solution may attach all of its
-    arcs: a run lies in one component and is contiguous, so sliding an end
-    along it changes no crossing with a chord that ends outside it, and two
-    chords that end in one run then share an angle.  Row ``y`` conflicts
-    with ``x`` when it joins the same unordered pair of strong components
-    (the pair rule; so ``x`` conflicts with itself) or crosses ``x``: it
-    has one end strictly on each side of ``x`` in their face."""
+    local-terminal run (``face_analysis.runs`` of the face's component
+    ids), where a minimum solution may attach all of its arcs: a run lies
+    in one component and is contiguous, so sliding an end along it changes
+    no crossing with a chord that ends outside it, and two chords that end
+    in one run then share an angle.  Row ``y`` conflicts with ``x`` when it
+    joins the same unordered pair of strong components (the pair rule; so
+    ``x`` conflicts with itself) or crosses ``x``: it has one end strictly
+    on each side of ``x`` in their face."""
     nbr = D.adjacency()[1] if mode == pg.MODE_ORIENTED else [0] * D.n
     part = scc(D)
     comp, reached = part.component, part.reach[0]
@@ -120,18 +121,19 @@ def legal_arcs(D: pg.PlaneDigraph, mode: str) -> tuple[list, list, list[int]]:
     for f in fa.open_faces(D):
         walk = D.faces[f]
         r = len(walk)
+        verts = list(map(D.dart_vertex, walk))
+        ids = [comp[v] for v in verts]
         sites = range(r) if mode == pg.MODE_ORIENTED else [
-            t.start for t in fa.decompose_face(D, f).terminals]
+            s for s, _, kind in fa.runs(walk, ids) if kind]
         at = [0] * r                            # position -> rows ending there
         chords = []
         for i in sites:
-            u = D.dart_vertex(walk[i])
+            u, ahead = verts[i], reached[ids[i]]
             for j in sites:
-                v = D.dart_vertex(walk[j])
-                if not (reached[comp[u]] >> comp[v] | nbr[u] >> v) & 1:
+                if not (ahead >> ids[j] | nbr[u] >> verts[j]) & 1:
                     at[i] |= 1 << len(rows)
                     at[j] |= 1 << len(rows)
-                    rows.append(((walk[i], walk[j]), (u, v)))
+                    rows.append(((walk[i], walk[j]), (u, verts[j])))
                     chords.append((i, j))
         for i, j in chords:
             inside = outside = 0

@@ -87,51 +87,48 @@ class FaceDecomposition:
         return tuple(both)
 
 
+def runs(walk, ids) -> list[tuple[int, int, str | None]]:
+    """The maximal runs of equal component ``ids`` around a face ``walk``,
+    in order: per run, its first position ``s``, the position ``e`` after
+    its last (``s < e <= s + len(walk)``) and its kind, ``LOCAL_SOURCE``
+    when both flanking boundary arcs leave it, ``LOCAL_SINK`` when both
+    enter it, else None.  ``walk[p]`` is position ``p``'s end of the arc
+    after ``p``, which leaves ``p`` iff ``walk[p]`` is a tail dart: so the
+    flanking arcs agree iff ``walk[s - 1]`` and ``walk[e - 1]`` differ in
+    their low bit (never on a face with one run)."""
+    r = len(walk)
+    starts = [p for p in range(r) if ids[p] != ids[p - 1]] or [0]
+    ends = starts[1:] + [starts[0] + r]
+    return [(s, e, None if not (walk[s - 1] ^ walk[(e - 1) % r]) & 1
+             else LOCAL_SOURCE if walk[s - 1] & 1 else LOCAL_SINK)
+            for s, e in zip(starts, ends)]
+
+
 @pg.derived
 def decompose_face(D: pg.PlaneDigraph, face: int) -> FaceDecomposition:
     """Strong intervals, local terminals, and interval dipaths of a face.
 
-    One pass over the walk's component ids finds where the runs start, and
-    each interval's positions are built once.  A run is a local source when
-    both flanking boundary arcs leave it and a local sink when both enter
-    it; the positions between two consecutive local terminals form an
-    interval dipath.  Each list is in order of first position."""
+    The strong intervals are the ``runs`` of the walk's component ids; the
+    positions between two consecutive local terminals form an interval
+    dipath.  Each list is in order of first position."""
     comp = scc(D).component
     walk = D.faces[face]
     r = len(walk)
-    ids = [comp[D.dart_vertex(d)] for d in walk]
-    starts = [p for p in range(r) if ids[p] != ids[p - 1]] or [0]
-    ends = starts[1:] + [starts[0] + r]
+    found = runs(walk, [comp[D.dart_vertex(d)] for d in walk])
 
     def interval(kind: str, start: int, end: int) -> Interval:
         # positions start..end - 1 around the walk, 0 < end - start <= r
-        if start >= r:
-            start, end = start - r, end - r
-        positions = (tuple(range(start, end)) if end <= r
-                     else tuple(range(start, r)) + tuple(range(end - r)))
-        return Interval(face=face, kind=kind, positions=positions)
+        return Interval(face, kind, tuple(p % r for p in range(start, end)))
 
-    runs = [interval(STRONG_INTERVAL, s, e) for s, e in zip(starts, ends)]
-    kinds = [None] * len(runs)
-    if len(runs) > 1:
-        for i, (s, e) in enumerate(zip(starts, ends)):
-            # walk[p] is position p's end of the boundary arc after p, so
-            # that arc leaves p iff walk[p] is a tail dart
-            pre_out = not pg.dart_is_tail(walk[s - 1])
-            post_out = pg.dart_is_tail(walk[(e - 1) % r])
-            if pre_out == post_out:
-                kinds[i] = LOCAL_SOURCE if pre_out else LOCAL_SINK
-    term = [i for i, kind in enumerate(kinds) if kind]
+    term = [(s, e, kind) for s, e, kind in found if kind]
     # the positions from the end of one terminal to the start of the next
-    gaps = [(ends[i], starts[j] + (r if j <= i else 0))
-            for i, j in zip(term, term[1:] + term[:1])]
-    dipaths = sorted(
-        (interval(INTERVAL_DIPATH, b, e) for b, e in gaps if b < e),
-        key=lambda iv: iv.start)
+    firsts, ends = [s for s, _, _ in term], [e for _, e, _ in term]
+    gaps = zip(ends, firsts[1:] + [s + r for s in firsts[:1]])
     return FaceDecomposition(
-        face, tuple(runs),
-        tuple(Interval(face, kinds[i], runs[i].positions) for i in term),
-        tuple(dipaths))
+        face, tuple(interval(STRONG_INTERVAL, s, e) for s, e, _ in found),
+        tuple(interval(kind, s, e) for s, e, kind in term),
+        tuple(sorted((interval(INTERVAL_DIPATH, b, e) for b, e in gaps
+                      if b < e), key=lambda iv: iv.start)))
 
 
 @dataclass(frozen=True)

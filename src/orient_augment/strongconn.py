@@ -4,7 +4,7 @@ the plane-preserving condensation.
 Every strong-connectivity question reads one closure: per vertex, the
 masks of the vertices it reaches and of those that reach it (``closure``),
 extended one arc at a time (``add_arc``), its source and sink classes read
-off by ``sides``.  Tarjan runs only to build one (twice per graph, in
+off by ``sides``.  Tarjan runs only to build one (once per graph, in
 ``scc``), never during a search.
 
 Condensation contracts a spanning forest of every strong component (the
@@ -110,12 +110,12 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def closure(n: int, arcs) -> tuple[list[int], list[int]]:
+def closure(n: int, arcs, comp=None) -> tuple[list[int], list[int]]:
     """``(fwd, bwd)``: for each vertex, the mask of the vertices it reaches
     and the mask of those that reach it, itself included.  One pass each
-    way over the arcs between Tarjan's components, sorted by tail: ids are
-    numbered sinks first, so every arc goes to a lower id."""
-    comp = scc_of_arcs(n, arcs)
+    way over the arcs between components ``comp`` (Tarjan's by default),
+    sorted by tail: ids number them sinks first, so arcs go to lower ids."""
+    comp = scc_of_arcs(n, arcs) if comp is None else comp
     fwd = [0] * (max(comp, default=-1) + 1)
     for v, c in enumerate(comp):
         fwd[c] |= 1 << v
@@ -217,8 +217,9 @@ def scc(D: pg.PlaneDigraph) -> SccPartition:
     members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
     for v, c in enumerate(comp):
         members[c].append(v)
+    # Tarjan's ids already number the component DAG sinks first
     reach = closure(len(members), {(comp[u], comp[v]) for u, v in D.arcs
-                                   if comp[u] != comp[v]})
+                                   if comp[u] != comp[v]}, range(len(members)))
     sources, sinks = sides(*reach)
     return SccPartition(
         component=tuple(comp),

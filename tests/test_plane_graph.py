@@ -197,6 +197,20 @@ def test_derived_tables_are_kept_after_solving():
         assert all(D._derived[key] is table for key, table in stored.items())
 
 
+def test_exact_solves_store_no_face_decomposition():
+    # both exact solvers read the legal-arc table, whose directed sites
+    # come from one scan of each open face's component ids
+    for seed in range(1000, 1012):
+        D = pog_io.gen_random(8, 9 + seed % 6, seed)
+        sv.solve_oriented(D, 3)
+        sv.solve_directed(D, 3)
+        keys = {key[0] if isinstance(key, tuple) else key for key in D._derived}
+        # none of these graphs is strong, so both solves built the table
+        assert (ce.legal_arcs.__wrapped__, pg.MODE_ORIENTED) in D._derived
+        assert (ce.legal_arcs.__wrapped__, pg.MODE_DIRECTED) in D._derived
+        assert fa.decompose_face.__wrapped__ not in keys
+
+
 def test_graphs_never_share_derived_tables():
     text = pog_io.write_pog(pog_io.gen_random(8, 11, 1003))
     D, E = pog_io.parse_pog(text), pog_io.parse_pog(text)

@@ -213,6 +213,54 @@ def test_legal_arcs_conflict_masks(mode):
     assert pairs > 1000 and crossing > 100
 
 
+def legal_arcs_reference(D, mode):
+    """``legal_arcs`` as first written: per open face, one ``dart_vertex``
+    read per end of every position pair, over every position (oriented)
+    or the first position of each local terminal of ``decompose_face``
+    (directed); conflicts from ``chords_cross`` and the component pairs."""
+    nbr = D.adjacency()[1] if mode == pg.MODE_ORIENTED else [0] * D.n
+    part = sc.scc(D)
+    comp, reached = part.component, part.reach[0]
+    rows, chords = [], []
+    for f in fa.open_faces(D):
+        walk = D.faces[f]
+        sites = (range(len(walk)) if mode == pg.MODE_ORIENTED
+                 else [t.start for t in fa.decompose_face(D, f).terminals])
+        for i in sites:
+            for j in sites:
+                u, v = D.dart_vertex(walk[i]), D.dart_vertex(walk[j])
+                if not (reached[comp[u]] >> comp[v] & 1 or nbr[u] >> v & 1):
+                    rows.append(((walk[i], walk[j]), (u, v)))
+                    chords.append((f, i, j))
+    ends = [(comp[u], comp[v]) for _, (u, v) in rows]
+    conflict = [sum(1 << y for y, (g, p, q) in enumerate(chords)
+                    if {*ends[x]} == {*ends[y]} or f == g
+                    and pg.chords_cross(len(D.faces[f]), i, j, p, q))
+                for x, (f, i, j) in enumerate(chords)]
+    return rows, ends, conflict
+
+
+def test_legal_arcs_match_the_decomposition_reference():
+    # the same rows in the same order (the witness pins below depend on
+    # it), the same ends and the same conflict masks, in both modes
+    graphs = list(ep.oriented_corpus(5))
+    graphs += [pog_io.gen_random(n, m, seed)
+               for n, m, seed in [(7, 6, 1), (7, 9, 2), (8, 7, 3), (8, 12, 4),
+                                  (9, 8, 5), (9, 10, 6), (9, 14, 7)]]
+    count = {pg.MODE_ORIENTED: 0, pg.MODE_DIRECTED: 0}
+    wrapped = 0
+    for D in graphs:
+        for mode in count:
+            assert ce.legal_arcs(D, mode) == legal_arcs_reference(D, mode)
+            count[mode] += len(ce.legal_arcs(D, mode)[0])
+        # local terminals whose run wraps past the end of the walk
+        wrapped += sum(t.positions[0] > t.positions[-1]
+                       for f in fa.open_faces(D)
+                       for t in fa.decompose_face(D, f).terminals)
+    assert (count[pg.MODE_ORIENTED], count[pg.MODE_DIRECTED], wrapped) \
+        == (3775, 4999, 191)
+
+
 def test_directed_simple_face_unique_candidate(simple_square):
     # a simple face offers the single arc from its sink to its source
     D = simple_square
